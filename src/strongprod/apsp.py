@@ -11,42 +11,98 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
-from .digraph import Digraph, adjacency_matrix
+from .digraph import Digraph
 from .errors import NotStronglyConnectedError, OrderTooSmallError
 
-# Sentinel for "no path" inside the integer kernel. Far above any real
-# distance (those are < n), and small enough that sentinel + sentinel
-# still fits comfortably in int64.
-_INF = np.int64(1) << 31
+# Marks an unreachable pair in ``DistanceMatrix.array``.
+UNREACHABLE = -1
+
+# Orders below this run the kernel in int16, larger ones in int32.
+_INT16_ORDERS = 1 << 14
 
 
-@dataclass(frozen=True)
+def _kernel_dtype(n: int) -> np.dtype:
+    """Narrowest signed dtype whose sentinel exceeds every distance in order ``n``.
+
+    int32 serves every order below 2**30, far past any n x n matrix that
+    fits in memory.
+    """
+    return np.dtype(np.int16 if n < _INT16_ORDERS else np.int32)
+
+
+def _sentinel(dtype: np.dtype) -> int:
+    """The kernel's "no path" value; sentinel + sentinel still fits ``dtype``."""
+    return int(np.iinfo(dtype).max) // 2
+
+
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Shortest directed-path lengths; ``None`` marks unreachable pairs."""
+    """Shortest directed-path lengths as one read-only square int array.
 
-    n: int
-    entries: tuple[tuple[int | None, ...], ...]
+    ``array[i, j]`` is the distance from ``i`` to ``j``, or ``UNREACHABLE``
+    (-1) when there is no directed path. The matrix takes ownership of the
+    array it is given and makes it read-only; equal matrices compare and
+    hash equal.
+    """
+
+    array: np.ndarray
+
+    def __post_init__(self):
+        a = np.asarray(self.array)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"distance array must be square, got shape {a.shape}")
+        # Checked before the cast to the kernel dtype, which would wrap.
+        if a.size and (a.min() < UNREACHABLE or a.max() >= a.shape[0]):
+            raise ValueError("distances must lie in [0, n) or be UNREACHABLE")
+        a = np.asarray(a, dtype=_kernel_dtype(a.shape[0]))
+        a.flags.writeable = False
+        object.__setattr__(self, "array", a)
+
+    @property
+    def n(self) -> int:
+        return self.array.shape[0]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DistanceMatrix):
+            return NotImplemented
+        return self.n == other.n and self.array.tobytes() == other.array.tobytes()
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.array.tobytes()))
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int | None, ...], ...]:
+        """Rows as tuples, ``None`` marking unreachable pairs."""
+        return tuple(
+            tuple(None if e == UNREACHABLE else e for e in row)
+            for row in self.array.tolist()
+        )
 
     def entry(self, i: int, j: int) -> int | None:
-        return self.entries[i][j]
+        e = int(self.array[i, j])
+        return None if e == UNREACHABLE else e
 
     @cached_property
     def all_finite(self) -> bool:
-        return all(e is not None for row in self.entries for e in row)
+        return not (self.array == UNREACHABLE).any()
 
     def finite_array(self) -> np.ndarray:
         """Dense int64 copy of the entries; every pair must be reachable."""
         if not self.all_finite:
             raise NotStronglyConnectedError("distance matrix has unreachable pairs")
-        return np.array(self.entries, dtype=np.int64)
+        return self.array.astype(np.int64)
 
 
 def _initial_distances(g: Digraph) -> np.ndarray:
-    # Adjacency with off-diagonal zeros promoted to "infinity", diagonal zero.
-    d = np.where(adjacency_matrix(g) == 1, np.int64(1), _INF)
+    """Arcs at 1, the diagonal at 0, every other pair at the kernel's sentinel."""
+    dtype = _kernel_dtype(g.n)
+    d = np.full((g.n, g.n), _sentinel(dtype), dtype=dtype)
+    arcs = np.fromiter(chain.from_iterable(g.arcs), dtype=np.intp, count=2 * g.m)
+    d[arcs[0::2], arcs[1::2]] = 1
     np.fill_diagonal(d, 0)
     return d
 
@@ -57,26 +113,22 @@ def _relax(d: np.ndarray) -> None:
     Row k and column k cannot improve during pass k, so the vectorized form
     is entry-for-entry identical to the sequential in-place triple loop.
     """
+    through = np.empty_like(d)
     for k in range(d.shape[0]):
-        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
-
-
-def _as_matrix(d: np.ndarray) -> DistanceMatrix:
-    entries = tuple(
-        tuple(int(e) if e < _INF else None for e in row) for row in d
-    )
-    return DistanceMatrix(d.shape[0], entries)
+        np.add(d[:, k, None], d[None, k, :], out=through)
+        np.minimum(d, through, out=d)
 
 
 def floyd_warshall(g: Digraph) -> DistanceMatrix:
     """All-pairs shortest directed path lengths of ``g``.
 
-    Unreachable pairs come back as ``None`` rather than raising;
+    Unreachable pairs come back as ``UNREACHABLE`` rather than raising;
     downstream metrics decide whether that is an error.
     """
     d = _initial_distances(g)
     _relax(d)
-    return _as_matrix(d)
+    d[d == _sentinel(d.dtype)] = UNREACHABLE
+    return DistanceMatrix(d)
 
 
 def bfs_distances(g: Digraph, source: int) -> tuple[int | None, ...]:
@@ -95,32 +147,22 @@ def bfs_distances(g: Digraph, source: int) -> tuple[int | None, ...]:
     return tuple(dist)
 
 
+def _require_reachable(d: DistanceMatrix) -> None:
+    """Raise naming the first unreachable pair in row-major order, if any."""
+    if not d.all_finite:
+        i, j = divmod(int(np.argmax(d.array == UNREACHABLE)), d.n)
+        raise NotStronglyConnectedError(f"no directed path from {i} to {j}")
+
+
 def diameter(d: DistanceMatrix) -> int:
     """Maximum distance over ordered vertex pairs; 0 for a single vertex."""
-    best = 0
-    for i, row in enumerate(d.entries):
-        for j, e in enumerate(row):
-            if i == j:
-                continue
-            if e is None:
-                raise NotStronglyConnectedError(
-                    f"no directed path from {i} to {j}"
-                )
-            if e > best:
-                best = e
-    return best
+    _require_reachable(d)
+    return int(d.array.max())
 
 
 def average_distance(d: DistanceMatrix) -> Fraction:
     """Exact mean distance over ordered pairs of distinct vertices."""
     if d.n < 2:
         raise OrderTooSmallError("average distance needs at least 2 vertices")
-    total = 0
-    for i, row in enumerate(d.entries):
-        for j, e in enumerate(row):
-            if e is None:
-                raise NotStronglyConnectedError(
-                    f"no directed path from {i} to {j}"
-                )
-            total += e
-    return Fraction(total, d.n * (d.n - 1))
+    _require_reachable(d)
+    return Fraction(int(d.array.sum(dtype=np.int64)), d.n * (d.n - 1))

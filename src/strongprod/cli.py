@@ -17,8 +17,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .apsp import floyd_warshall
-from .digraph import Digraph, build_digraph, is_strongly_connected, parse_edge_list, write_edge_list
+import numpy as np
+
+from .apsp import UNREACHABLE, floyd_warshall
+from .digraph import is_strongly_connected, load_digraph, write_edge_list
 from .errors import (
     ArithmeticOverflowError,
     DigraphValidationError,
@@ -110,10 +112,6 @@ def _config(args: argparse.Namespace) -> CliConfig:
     )
 
 
-def _load(path: str) -> Digraph:
-    return build_digraph(parse_edge_list(Path(path).read_text(encoding="utf-8")))
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -122,7 +120,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_check(config: CliConfig) -> int:
-    g = _load(config.paths[0])
+    g = load_digraph(config.paths[0])
     connected = is_strongly_connected(g)
     print(json.dumps({"n": g.n, "m": g.m, "strongly_connected": connected},
                      **_JSON_COMPACT))
@@ -130,17 +128,25 @@ def cmd_check(config: CliConfig) -> int:
 
 
 def cmd_apsp(config: CliConfig) -> int:
-    d = floyd_warshall(_load(config.paths[0]))
+    d = floyd_warshall(load_digraph(config.paths[0]))
+    # Distances lie in [0, n); the extra last slot is where UNREACHABLE
+    # (-1) indexes, so one lookup renders a whole row.
+    tokens = np.array([*map(str, range(d.n)), None], dtype=object)
+    write = sys.stdout.write
     if config.fmt == "json":
-        print(json.dumps([list(row) for row in d.entries], **_JSON_COMPACT))
+        tokens[UNREACHABLE] = "null"
+        for i, row in enumerate(d.array):
+            write(("[[" if i == 0 else ",[") + ",".join(tokens[row]) + "]")
+        write("]\n")
     else:
-        for row in d.entries:
-            print("\t".join("INF" if e is None else str(e) for e in row))
+        tokens[UNREACHABLE] = "INF"
+        for row in d.array:
+            write("\t".join(tokens[row]) + "\n")
     return EXIT_OK
 
 
 def cmd_product(config: CliConfig) -> int:
-    factors = [_load(path) for path in config.paths]
+    factors = [load_digraph(path) for path in config.paths]
     product = strong_product_n(factors, max_vertices=config.max_product_vertices)
     if config.check_connected and not is_strongly_connected(product):
         print("strongprod: product is not strongly connected", file=sys.stderr)
@@ -156,7 +162,7 @@ def cmd_product(config: CliConfig) -> int:
 
 
 def cmd_avgdist(config: CliConfig) -> int:
-    factors = [_load(path) for path in config.paths]
+    factors = [load_digraph(path) for path in config.paths]
     report = average_distance_product_n(
         factors,
         method=config.method,

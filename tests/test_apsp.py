@@ -11,8 +11,12 @@ import pytest
 from hypothesis import given, settings
 
 from strongprod.apsp import (
+    UNREACHABLE,
+    DistanceMatrix,
     _initial_distances,
+    _kernel_dtype,
     _relax,
+    _sentinel,
     average_distance,
     bfs_distances,
     diameter,
@@ -44,6 +48,65 @@ class TestFloydWarshall:
 
     def test_single_vertex(self):
         assert floyd_warshall(complete_digraph(1)).entries == ((0,),)
+
+
+class TestDistanceMatrixValue:
+    def test_equal_matrices_compare_and_hash_equal(self):
+        a, b = floyd_warshall(directed_cycle(4)), floyd_warshall(directed_cycle(4))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_different_matrices_differ(self):
+        assert floyd_warshall(directed_cycle(4)) != floyd_warshall(directed_path(4))
+        assert floyd_warshall(directed_cycle(3)) != floyd_warshall(directed_cycle(4))
+
+    def test_array_is_read_only(self):
+        d = floyd_warshall(directed_path(3))
+        assert d.array[2, 0] == UNREACHABLE
+        with pytest.raises(ValueError):
+            d.array[2, 0] = 1
+        assert d.entries[2] == (None, None, 0)
+
+    def test_from_nested_lists(self):
+        d = DistanceMatrix([[0, 1], [UNREACHABLE, 0]])
+        assert d == floyd_warshall(directed_path(2))
+        assert d.entry(1, 0) is None
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            DistanceMatrix(np.zeros((2, 3), dtype=np.int16))
+
+    @pytest.mark.parametrize("bad", [-2, 2, 40000])
+    def test_out_of_range_distance_rejected(self, bad):
+        with pytest.raises(ValueError):
+            DistanceMatrix(np.array([[0, bad], [1, 0]], dtype=np.int64))
+
+
+class TestKernelDtype:
+    @pytest.mark.parametrize("n, dtype", [
+        (1, np.int16), (2**14 - 1, np.int16), (2**14, np.int32),
+    ])
+    def test_narrowest_dtype(self, n, dtype):
+        assert _kernel_dtype(n) == dtype
+
+    @pytest.mark.parametrize("n", [1, 2**14 - 1, 2**14])
+    def test_sentinel_above_distances_and_sum_does_not_wrap(self, n):
+        dtype = _kernel_dtype(n)
+        s = _sentinel(dtype)
+        assert s > n - 1
+        doubled = np.array([s], dtype=dtype) + np.array([s], dtype=dtype)
+        assert doubled.dtype == dtype
+        assert int(doubled[0]) == 2 * s
+
+    @pytest.mark.parametrize("family", [directed_path, directed_cycle])
+    def test_maximal_distances_match_bfs(self, family):
+        g = family(300)
+        d = floyd_warshall(g)
+        assert d.array.dtype == np.int16
+        assert int(d.array.max()) == g.n - 1
+        for source in range(g.n):
+            assert d.entries[source] == bfs_distances(g, source)
 
 
 class TestBfsDistances:

@@ -1,9 +1,14 @@
 """Command-line contract: outputs are byte-exact and exit codes are stable."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import strongprod
 from strongprod.cli import main
 from strongprod.digraph import build_digraph, parse_edge_list, write_edge_list
 from strongprod.generate import complete_digraph, directed_cycle, directed_path
@@ -69,14 +74,17 @@ class TestApsp:
     def test_tsv_unreachable_is_inf(self, graph_file, capsys):
         path = graph_file("p3.el", directed_path(3))
         assert main(["apsp", path]) == 0
-        out = capsys.readouterr().out
-        assert "INF" in out
-        assert out.splitlines()[0] == "0\t1\t2"
+        assert capsys.readouterr().out == "0\t1\t2\nINF\t0\t1\nINF\tINF\t0\n"
 
     def test_json_matrix(self, graph_file, capsys):
         path = graph_file("k2.el", complete_digraph(2))
         assert main(["apsp", path, "--format", "json"]) == 0
         assert capsys.readouterr().out == "[[0,1],[1,0]]\n"
+
+    def test_json_single_vertex(self, graph_file, capsys):
+        path = graph_file("k1.el", complete_digraph(1))
+        assert main(["apsp", path, "--format", "json"]) == 0
+        assert capsys.readouterr().out == "[[0]]\n"
 
     def test_json_null_for_unreachable(self, graph_file, capsys):
         path = graph_file("p2.el", directed_path(2))
@@ -234,3 +242,14 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+def test_python_dash_m_runs_the_cli(graph_file):
+    path = graph_file("p3.el", directed_path(3))
+    src = str(Path(strongprod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "strongprod", "check", path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 3
+    assert done.stdout == '{"n":3,"m":2,"strongly_connected":false}\n'
