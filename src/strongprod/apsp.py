@@ -11,7 +11,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -101,8 +100,7 @@ def _initial_distances(g: Digraph) -> np.ndarray:
     """Arcs at 1, the diagonal at 0, every other pair at the kernel's sentinel."""
     dtype = _kernel_dtype(g.n)
     d = np.full((g.n, g.n), _sentinel(dtype), dtype=dtype)
-    arcs = np.fromiter(chain.from_iterable(g.arcs), dtype=np.intp, count=2 * g.m)
-    d[arcs[0::2], arcs[1::2]] = 1
+    d[g.arc_array[:, 0], g.arc_array[:, 1]] = 1
     np.fill_diagonal(d, 0)
     return d
 

@@ -7,10 +7,11 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Iterator, Sequence
+from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -36,49 +37,134 @@ class EdgeListDocument:
     arcs: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class Digraph:
-    """Simple digraph on ``n`` vertices with a frozen set of ordered arcs.
+# Largest order whose arc keys ``u * n + v`` fit in int64.
+_MAX_KEYED_ORDER = isqrt(np.iinfo(np.int64).max)
 
-    Construction validates the simplicity invariants: at least one vertex,
-    endpoints in ``[0, n)``, no self-loops. Duplicate detection belongs to
-    :func:`build_digraph`, where input order still exists.
+
+@dataclass(frozen=True, eq=False)
+class Digraph:
+    """Simple digraph on ``n`` vertices with its arcs in one read-only array.
+
+    ``arc_array`` is an ``(m, 2)`` int64 array of ``(tail, head)`` rows,
+    sorted lexicographically without repeats. The constructor takes any
+    iterable of pairs or an integer array, in any order and with repeats,
+    and validates the simplicity invariants: at least one vertex, endpoints
+    in ``[0, n)``, no self-loops. The first offending pair in the order
+    given is reported. Duplicate detection belongs to :func:`build_digraph`,
+    where input order still exists. Equal digraphs compare and hash equal.
     """
 
     n: int
-    arcs: frozenset[tuple[int, int]]
+    arc_array: np.ndarray
 
     def __post_init__(self):
         if self.n < 1:
             raise EmptyGraphError("digraph must have at least one vertex")
-        arcs = frozenset((int(u), int(v)) for u, v in self.arcs)
-        object.__setattr__(self, "arcs", arcs)
-        for u, v in arcs:
-            if u == v:
+        rows = _arc_rows(self.arc_array)
+        loop = rows[:, 0] == rows[:, 1]
+        bad = loop | ((rows < 0) | (rows >= self.n)).any(axis=1)
+        if bad.any():
+            i = int(bad.argmax())
+            u, v = rows[i].tolist()
+            if loop[i]:
                 raise SelfLoopError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise VertexRangeError(f"arc ({u}, {v}) outside [0, {self.n})")
+            raise VertexRangeError(f"arc ({u}, {v}) outside [0, {self.n})")
+        key = np.sort(_row_keys(rows, self.n))
+        # Keys are nonnegative, so the prepended -1 keeps the first one.
+        key = key[np.diff(key, prepend=-1) != 0]
+        rows = np.stack([key // self.n, key % self.n], axis=1)
+        rows = rows.astype(np.int64, copy=False)
+        rows.flags.writeable = False
+        object.__setattr__(self, "arc_array", rows)
 
     @property
     def m(self) -> int:
-        return len(self.arcs)
+        return len(self.arc_array)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Digraph):
+            return NotImplemented
+        return (self.n == other.n
+                and self.arc_array.tobytes() == other.arc_array.tobytes())
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.arc_array.tobytes()))
+
+    @cached_property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        return frozenset(map(tuple, self.arc_array.tolist()))
+
+    @cached_property
+    def _out_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        return _csr(self.n, self.arc_array)
+
+    @cached_property
+    def _in_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        reversed_rows = self.arc_array[:, ::-1]
+        return _csr(self.n, reversed_rows[np.argsort(_row_keys(reversed_rows, self.n))])
 
     def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
+        if not 0 <= u < self.n:
+            return False
+        offsets, heads = self._out_csr
+        row = heads[offsets[u]:offsets[u + 1]]
+        i = int(np.searchsorted(row, v))
+        return i < len(row) and row[i] == v
 
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.arcs:
-            out[u].append(v)
-        return tuple(tuple(sorted(vs)) for vs in out)
+        return _neighbour_tuples(*self._out_csr)
 
     @cached_property
     def predecessors(self) -> tuple[tuple[int, ...], ...]:
-        inn: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.arcs:
-            inn[v].append(u)
-        return tuple(tuple(sorted(us)) for us in inn)
+        return _neighbour_tuples(*self._in_csr)
+
+
+def _arc_rows(arcs) -> np.ndarray:
+    """A fresh ``(m, 2)`` array of the given pairs, in the given order.
+
+    A vertex too large for int64 gives an object array, so that the range
+    check still names it.
+    """
+    if isinstance(arcs, np.ndarray):
+        rows = np.array(arcs)
+        if rows.size == 0:
+            rows = rows.reshape(0, 2)
+        if rows.ndim != 2 or rows.shape[1] != 2:
+            raise ValueError(f"arc array must have shape (m, 2), got {rows.shape}")
+        return rows
+    pairs = arcs if isinstance(arcs, Collection) else list(arcs)
+    try:
+        flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64)
+    except OverflowError:
+        flat = np.array(list(chain.from_iterable(pairs)), dtype=object)
+    if flat.size != 2 * len(pairs):
+        raise ValueError("arcs must be (u, v) pairs")
+    return flat.reshape(-1, 2)
+
+
+def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """``u * n + v`` per row: ordered as the rows, one-to-one on rows in ``[0, n)``."""
+    if n > _MAX_KEYED_ORDER:
+        rows = rows.astype(object)  # Python integers; int64 would wrap
+    return rows[:, 0] * n + rows[:, 1]
+
+
+def _csr(n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets and heads of rows sorted by tail.
+
+    The heads of u's arcs are ``heads[offsets[u]:offsets[u + 1]]``.
+    """
+    offsets = np.searchsorted(rows[:, 0], np.arange(n + 1))
+    return offsets, np.ascontiguousarray(rows[:, 1])
+
+
+def _neighbour_tuples(
+    offsets: np.ndarray, heads: np.ndarray
+) -> tuple[tuple[int, ...], ...]:
+    heads = heads.tolist()
+    bounds = offsets.tolist()
+    return tuple(tuple(heads[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def _data_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -136,19 +222,34 @@ def parse_edge_list(text: str) -> EdgeListDocument:
 
 
 def build_digraph(doc: EdgeListDocument) -> Digraph:
-    """Validate a parsed document into a :class:`Digraph`."""
-    if doc.n == 0:
-        raise EmptyGraphError("digraph must have at least one vertex")
-    seen: set[tuple[int, int]] = set()
-    for u, v in doc.arcs:
-        if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
-        if not (0 <= u < doc.n and 0 <= v < doc.n):
-            raise VertexRangeError(f"arc ({u}, {v}) outside [0, {doc.n})")
-        if (u, v) in seen:
-            raise DuplicateArcError(f"arc ({u}, {v}) listed more than once")
-        seen.add((u, v))
-    return Digraph(doc.n, frozenset(seen))
+    """Validate a parsed document into a :class:`Digraph`.
+
+    The constructor checks each arc; this adds that no arc is listed twice.
+    Of several faults the first arc in file order is reported, and of an
+    arc's own faults a self-loop before a range error.
+    """
+    rows = _arc_rows(doc.arcs)
+    repeat = _first_repeat(rows, doc.n)
+    # The constructor checks every arc up to the repeat first. Keys of
+    # distinct rows collide only when one is out of range, and that row is
+    # then among the ones checked.
+    g = Digraph(doc.n, rows if repeat is None else rows[:repeat + 1])
+    if repeat is not None:
+        u, v = rows[repeat].tolist()
+        raise DuplicateArcError(f"arc ({u}, {v}) listed more than once")
+    return g
+
+
+def _first_repeat(rows: np.ndarray, n: int) -> int | None:
+    """Index of the first row whose key an earlier row has, if any."""
+    key = _row_keys(rows, n)
+    ordered = np.sort(key)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return None
+    _, first = np.unique(key, return_index=True)
+    repeated = np.ones(len(key), dtype=bool)
+    repeated[first] = False
+    return int(repeated.argmax())
 
 
 def load_digraph(path: str | Path) -> Digraph:
@@ -160,32 +261,45 @@ def write_edge_list(g: Digraph, comments: Sequence[str] = ()) -> str:
 
     Inverse of ``parse_edge_list`` + ``build_digraph`` (comments aside).
     """
-    lines = [f"# {comment}" for comment in comments]
-    lines.append(f"{g.n} {g.m}")
-    lines.extend(f"{u} {v}" for u, v in sorted(g.arcs))
-    return "\n".join(lines) + "\n"
+    head = "".join(f"# {comment}\n" for comment in comments) + f"{g.n} {g.m}\n"
+    if not g.m:
+        return head
+    # One token per label, looked up per endpoint: tails carry the
+    # separating space, heads the newline. The table covers 0..max label,
+    # or only the labels in use when those are few of that range.
+    labels, index = range(int(g.arc_array.max()) + 1), g.arc_array
+    if len(labels) > 2 * g.m:
+        labels, index = np.unique(g.arc_array, return_inverse=True)
+        index = index.reshape(g.arc_array.shape)
+    tokens = np.empty((g.m, 2), dtype=object)
+    tokens[:, 0] = np.array([f"{x} " for x in labels], dtype=object)[index[:, 0]]
+    tokens[:, 1] = np.array([f"{x}\n" for x in labels], dtype=object)[index[:, 1]]
+    return head + "".join(tokens.ravel().tolist())
 
 
 def adjacency_matrix(g: Digraph) -> np.ndarray:
     """Dense (0,1) matrix with entry ``[i, j] = 1`` iff the arc (i, j) exists."""
     a = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v in g.arcs:
-        a[u, v] = 1
+    a[g.arc_array[:, 0], g.arc_array[:, 1]] = 1
     return a
 
 
-def _reaches_all(n: int, adjacency: Sequence[Sequence[int]]) -> bool:
+def _reaches_all(offsets: np.ndarray, heads: np.ndarray) -> bool:
+    """Whether vertex 0 reaches every vertex of a CSR adjacency."""
+    bounds = offsets.tolist()
+    heads = heads.tolist()
+    n = len(bounds) - 1
     seen = bytearray(n)
     seen[0] = 1
     count = 1
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in adjacency[u]:
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w in heads[bounds[u]:bounds[u + 1]]:
             if not seen[w]:
                 seen[w] = 1
                 count += 1
-                queue.append(w)
+                stack.append(w)
     return count == n
 
 
@@ -198,4 +312,4 @@ def is_strongly_connected(g: Digraph) -> bool:
     """
     if g.n == 1:
         return True
-    return _reaches_all(g.n, g.successors) and _reaches_all(g.n, g.predecessors)
+    return _reaches_all(*g._out_csr) and _reaches_all(*g._in_csr)

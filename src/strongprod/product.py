@@ -2,14 +2,16 @@
 
 A product vertex is a tuple of factor coordinates; its flat index is the
 row-major mixed-radix encoding with the leftmost factor most significant.
-The binary product uses that codec directly, and the n-ary product is a
-left fold of the binary one, which lands on the same numbering.
+The n-ary product builds every arc under that codec in one array pass,
+and the binary product is its two-factor case.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from math import prod
+
+import numpy as np
 
 from .digraph import Digraph
 from .errors import (
@@ -61,33 +63,33 @@ def strong_product(
     three arc families are disjoint, so the arc count is
     ``v1*e2 + v2*e1 + e1*e2``.
     """
-    n = g1.n * g2.n
-    if n > max_vertices:
-        raise ProductTooLargeError(
-            f"product has {n} vertices, limit is {max_vertices}"
-        )
-    v2 = g2.n
-    arcs: set[tuple[int, int]] = set()
-    for x1 in range(g1.n):
-        base = x1 * v2
-        for x2, y2 in g2.arcs:
-            arcs.add((base + x2, base + y2))
-    for x1, y1 in g1.arcs:
-        for x2 in range(v2):
-            arcs.add((x1 * v2 + x2, y1 * v2 + x2))
-        for x2, y2 in g2.arcs:
-            arcs.add((x1 * v2 + x2, y1 * v2 + y2))
-    return Digraph(n, frozenset(arcs))
+    return strong_product_n([g1, g2], max_vertices=max_vertices)
 
 
 def strong_product_n(
     gs: Sequence[Digraph],
     max_vertices: int = DEFAULT_MAX_PRODUCT_VERTICES,
 ) -> Digraph:
-    """Left fold of :func:`strong_product` over one or more factors."""
+    """Strong product of one or more digraphs, built in one pass.
+
+    Each factor either stays on its vertex or steps along one of its arcs,
+    and every combination of those moves but the all-stay ones is an arc.
+    Combining the factors' move lists under the row-major codec lists each
+    arc once: ``prod(n_i + m_i) - prod(n_i)`` arcs in all.
+    """
     if not gs:
         raise EmptyFactorListError("need at least one factor")
-    out = gs[0]
-    for g in gs[1:]:
-        out = strong_product(out, g, max_vertices=max_vertices)
-    return out
+    n = prod(g.n for g in gs)
+    if n > max_vertices:
+        raise ProductTooLargeError(
+            f"product has {n} vertices, limit is {max_vertices}"
+        )
+    tails = heads = np.zeros(1, dtype=np.int64)
+    for g in gs:
+        stay = np.arange(g.n, dtype=np.int64)
+        tails = np.add.outer(tails * g.n, np.concatenate([g.arc_array[:, 0], stay]))
+        heads = np.add.outer(heads * g.n, np.concatenate([g.arc_array[:, 1], stay]))
+        tails, heads = tails.ravel(), heads.ravel()
+    # Factors have no self-loops, so only the all-stay moves keep tail = head.
+    moves = tails != heads
+    return Digraph(n, np.stack([tails[moves], heads[moves]], axis=1))

@@ -249,7 +249,8 @@ def test_python_dash_m_runs_the_cli(graph_file):
     src = str(Path(strongprod.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-m", "strongprod", "check", path],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 3
-    assert done.stdout == '{"n":3,"m":2,"strongly_connected":false}\n'
+    for module in ("strongprod", "strongprod.cli"):
+        done = subprocess.run([sys.executable, "-m", module, "check", path],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 3, module
+        assert done.stdout == '{"n":3,"m":2,"strongly_connected":false}\n', module

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from strongprod.apsp import floyd_warshall
 from strongprod.digraph import (
@@ -98,6 +99,25 @@ class TestBuildDigraph:
         with pytest.raises(EmptyGraphError):
             build_digraph(EdgeListDocument(0, 0, ()))
 
+    @pytest.mark.parametrize("n, arcs, error, message", [
+        (3, ((0, 1), (0, 1), (2, 2)), DuplicateArcError,
+         "arc (0, 1) listed more than once"),
+        (3, ((1, 1), (0, 7)), SelfLoopError, "self-loop at vertex 1"),
+        (3, ((0, 7), (1, 1)), VertexRangeError, "arc (0, 7) outside [0, 3)"),
+        (3, ((0, 1), (0, 9), (0, 1)), VertexRangeError, "arc (0, 9) outside [0, 3)"),
+        (3, ((0, 9), (0, 9)), VertexRangeError, "arc (0, 9) outside [0, 3)"),
+        # (1, 0) and (0, 2) share the key 1 * 2 + 0 = 0 * 2 + 2
+        (2, ((1, 0), (0, 2)), VertexRangeError, "arc (0, 2) outside [0, 2)"),
+        (0, ((0, 1), (0, 1)), EmptyGraphError, "digraph must have at least one vertex"),
+        (3, ((0, 10**30),), VertexRangeError, f"arc (0, {10**30}) outside [0, 3)"),
+        (3, ((10**30, 10**30), (0, 10**30)), SelfLoopError,
+         f"self-loop at vertex {10**30}"),
+    ])
+    def test_first_faulty_arc_in_file_order_is_reported(self, n, arcs, error, message):
+        with pytest.raises(error) as info:
+            build_digraph(EdgeListDocument(n, len(arcs), arcs))
+        assert str(info.value) == message
+
     def test_digraph_constructor_validates(self):
         with pytest.raises(EmptyGraphError):
             Digraph(0, frozenset())
@@ -105,6 +125,63 @@ class TestBuildDigraph:
             Digraph(2, frozenset({(1, 1)}))
         with pytest.raises(VertexRangeError):
             Digraph(2, frozenset({(0, 5)}))
+
+
+def _successors_by_definition(g):
+    return tuple(tuple(sorted(v for u, v in g.arcs if u == x)) for x in range(g.n))
+
+
+def _predecessors_by_definition(g):
+    return tuple(tuple(sorted(u for u, v in g.arcs if v == x)) for x in range(g.n))
+
+
+class TestDigraphValue:
+    @given(digraphs(max_n=8))
+    def test_frozenset_and_array_build_equal_graphs(self, g):
+        pairs = sorted(g.arcs)
+        from_array = Digraph(g.n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+        from_set = Digraph(g.n, frozenset(pairs))
+        assert from_array == from_set
+        assert hash(from_array) == hash(from_set)
+
+    @given(digraphs(max_n=8))
+    def test_arc_array_is_read_only_and_sorted(self, g):
+        a = g.arc_array
+        assert a.dtype == np.int64 and a.shape == (g.m, 2)
+        assert not a.flags.writeable
+        keys = a[:, 0] * g.n + a[:, 1]
+        assert np.all(keys[1:] > keys[:-1])
+        if g.m:
+            with pytest.raises(ValueError):
+                a[0, 0] = a[0, 1]
+
+    @given(digraphs(max_n=8))
+    def test_derived_views_match_their_definitions(self, g):
+        assert g.arcs == frozenset(map(tuple, g.arc_array.tolist()))
+        assert g.successors == _successors_by_definition(g)
+        assert g.predecessors == _predecessors_by_definition(g)
+        for u in range(-1, g.n + 1):
+            for v in range(-1, g.n + 1):
+                assert g.has_arc(u, v) == ((u, v) in g.arcs)
+
+    @given(digraphs(max_n=8), st.randoms(use_true_random=False))
+    def test_order_and_repeats_do_not_matter(self, g, rng):
+        pairs = sorted(g.arcs) * 2
+        rng.shuffle(pairs)
+        assert Digraph(g.n, pairs) == g
+        assert Digraph(g.n, iter(pairs)) == g
+        assert Digraph(g.n, np.array(pairs, dtype=np.int32).reshape(-1, 2)) == g
+
+    def test_rejects_rows_that_are_not_pairs(self):
+        with pytest.raises(ValueError):
+            Digraph(3, [(0, 1, 2)])
+        with pytest.raises(ValueError):
+            Digraph(3, np.array([[0, 1, 2]]))
+
+    def test_inequality(self):
+        assert directed_cycle(3) != directed_path(3)
+        assert Digraph(3, ()) != Digraph(4, ())
+        assert directed_cycle(3) != "not a digraph"
 
 
 class TestAdjacencyMatrix:
