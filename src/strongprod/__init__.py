@@ -26,9 +26,7 @@ from .metrics import (
     average_distance_product_n,
     product_distance,
     product_distance_n,
-    sigma_counting,
     sigma_counting_n,
-    sigma_naive,
     sigma_naive_n,
 )
 from .product import (
@@ -63,9 +61,7 @@ __all__ = [
     "parse_edge_list",
     "product_distance",
     "product_distance_n",
-    "sigma_counting",
     "sigma_counting_n",
-    "sigma_naive",
     "sigma_naive_n",
     "strong_product",
     "strong_product_n",

@@ -5,7 +5,7 @@ standard error. Output is deterministic: identical inputs give
 byte-identical output.
 
 Exit codes: 0 success, 1 usage, 2 parse or validation failure,
-3 not strongly connected, 4 product size limit, 5 arithmetic overflow.
+3 not strongly connected, 4 product size limit.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ import numpy as np
 from .apsp import UNREACHABLE, floyd_warshall
 from .digraph import is_strongly_connected, load_digraph, write_edge_list
 from .errors import (
-    ArithmeticOverflowError,
     DigraphValidationError,
     EdgeListFormatError,
     NotStronglyConnectedError,
     OrderTooSmallError,
     ProductTooLargeError,
 )
-from .metrics import average_distance_product_n
+from .metrics import METHODS, average_distance_product_n
 from .product import DEFAULT_MAX_PRODUCT_VERTICES, strong_product_n
 
 EXIT_OK = 0
@@ -37,7 +36,6 @@ EXIT_USAGE = 1
 EXIT_INVALID_INPUT = 2
 EXIT_NOT_STRONGLY_CONNECTED = 3
 EXIT_PRODUCT_TOO_LARGE = 4
-EXIT_OVERFLOW = 5
 
 _JSON_COMPACT = {"separators": (",", ":")}
 
@@ -89,8 +87,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("avgdist", help="average distance report of a strong product")
     p.add_argument("paths", nargs="+", metavar="file")
-    p.add_argument("--method", choices=("naive", "counting", "oracle"),
-                   default="counting")
+    p.add_argument("--method", choices=METHODS, default="counting")
     p.add_argument("--max-product-vertices", type=int,
                    default=DEFAULT_MAX_PRODUCT_VERTICES,
                    help="vertex limit for the explicit product (oracle method)")
@@ -214,9 +211,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ProductTooLargeError as exc:
         print(f"strongprod: error: {exc}", file=sys.stderr)
         return EXIT_PRODUCT_TOO_LARGE
-    except ArithmeticOverflowError as exc:
-        print(f"strongprod: error: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
 
 
 def run() -> None:

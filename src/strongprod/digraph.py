@@ -312,4 +312,8 @@ def is_strongly_connected(g: Digraph) -> bool:
     """
     if g.n == 1:
         return True
+    # Every vertex needs an out-arc. Deciding here also spares a huge
+    # declared order with few arcs its n + 1 CSR offsets.
+    if g.m < g.n:
+        return False
     return _reaches_all(*g._out_csr) and _reaches_all(*g._in_csr)

@@ -87,11 +87,3 @@ class ArityMismatchError(StrongProdError):
 
 class CoordRangeError(StrongProdError):
     """A coordinate or flat index falls outside the factor dimensions."""
-
-
-class ArithmeticOverflowError(StrongProdError):
-    """A distance-sum accumulator exceeded its integer range.
-
-    Kept for the CLI contract (exit code 5); unbounded Python integers mean
-    the library itself never wraps around.
-    """

@@ -5,9 +5,9 @@ distance sum sigma and the average distance mu of a product need only the
 factor distance matrices, never the product itself. Three routes compute
 sigma and must agree exactly:
 
-* ``naive``    - compare every factor-entry combination (v1^2 * v2^2 maxima);
-* ``counting`` - sort each entry multiset once and combine prefix counts
-  with suffix sums;
+* ``naive``    - compare every factor-entry combination (prod n_i^2 maxima);
+* ``counting`` - multiply the factor distance CDFs into the product's CDF,
+  O(sum n_i^2 + k * D) for k factors and largest diameter D;
 * ``oracle``   - build the explicit product and sum its distance matrix.
 """
 
@@ -103,77 +103,38 @@ def _sigma_naive_flats(flats: list[np.ndarray]) -> int:
     return total
 
 
-def sigma_naive(d1: DistanceMatrix, d2: DistanceMatrix) -> int:
+def sigma_naive_n(ds: Sequence[DistanceMatrix]) -> int:
     """Distance sum over all ordered product pairs by direct comparison.
 
-    Every entry of ``d1`` meets every entry of ``d2`` exactly once
-    (diagonal zeros included), so this is the four-deep loop over
-    (x, y, m, n) with the two inner levels vectorized.
+    Every combination of one entry per factor (diagonal zeros included)
+    is one ordered product pair, and its distance is the maximum of those
+    entries.
     """
-    return _sigma_naive_flats([_finite_flat(d1), _finite_flat(d2)])
-
-
-def sigma_naive_n(ds: Sequence[DistanceMatrix]) -> int:
-    """N-ary ``sigma_naive``: every combination of one entry per factor."""
     if not ds:
         raise ArityMismatchError("need at least one factor")
     return _sigma_naive_flats([_finite_flat(d) for d in ds])
 
 
-def sigma_counting(d1: DistanceMatrix, d2: DistanceMatrix) -> int:
-    """Same sum as :func:`sigma_naive` in O(v1^2 log v1 + v2^2 log v2).
-
-    For a distinct value ``a`` of the first multiset, every second-multiset
-    entry b <= a contributes ``a`` and every b > a contributes ``b``; one
-    sorted pass over the second multiset yields the prefix counts and
-    suffix sums for all ``a`` at once.
-    """
-    flat1 = _finite_flat(d1)
-    flat2 = np.sort(_finite_flat(d2))
-    values, counts = np.unique(flat1, return_counts=True)
-    cumulative = np.concatenate(([0], np.cumsum(flat2, dtype=np.int64)))
-    total2 = int(cumulative[-1])
-    upto = np.searchsorted(flat2, values, side="right")
-    total = 0
-    for a, count, k in zip(values.tolist(), counts.tolist(), upto.tolist()):
-        suffix_sum = total2 - int(cumulative[k])
-        total += count * (a * k + suffix_sum)
-    return total
-
-
-def _entry_multiset(d: DistanceMatrix) -> dict[int, int]:
-    values, counts = np.unique(_finite_flat(d), return_counts=True)
-    return dict(zip(values.tolist(), counts.tolist()))
-
-
-def _merge_max(m1: dict[int, int], m2: dict[int, int]) -> dict[int, int]:
-    """Multiset of pairwise maxima of two value->count multisets.
-
-    max(a, b) = v exactly when (a = v and b <= v) or (a < v and b = v);
-    sweeping values in ascending order keeps both cumulative counts exact.
-    """
-    merged: dict[int, int] = {}
-    below1 = 0
-    upto2 = 0
-    for v in sorted(set(m1) | set(m2)):
-        c1 = m1.get(v, 0)
-        c2 = m2.get(v, 0)
-        upto2 += c2
-        count = c1 * upto2 + below1 * c2
-        below1 += c1
-        if count:
-            merged[v] = count
-    return merged
-
-
 def sigma_counting_n(ds: Sequence[DistanceMatrix]) -> int:
-    """N-ary counting sum: fold the pairwise multiset-of-maxima merge."""
+    """Same sum as :func:`sigma_naive_n` from the factor distance CDFs.
+
+    A product distance is the maximum of the factor distances, so the
+    number of ordered product pairs at distance <= v is the product of
+    the factors' counts at distance <= v, and differencing that CDF gives
+    the count at exactly v. Cost O(sum n_i^2 + k * D) for k factors and
+    largest diameter D. The counts are Python ints, so sigma never wraps.
+    """
     if not ds:
         raise ArityMismatchError("need at least one factor")
-    multiset = _entry_multiset(ds[0])
-    for d in ds[1:]:
-        multiset = _merge_max(multiset, _entry_multiset(d))
-    return sum(v * c for v, c in multiset.items())
+    counts = [np.bincount(_finite_flat(d)) for d in ds]
+    size = max(len(c) for c in counts)
+    cdfs = [np.cumsum(np.pad(c, (0, size - len(c)))).tolist() for c in counts]
+    total = below = 0
+    for v, upto_each in enumerate(zip(*cdfs)):
+        upto = prod(upto_each)
+        total += v * (upto - below)
+        below = upto
+    return total
 
 
 def _decimal_12sig(value: Fraction) -> str:
@@ -221,8 +182,8 @@ def average_distance_product_n(
 ) -> MetricsReport:
     """Metrics of the strong product of ``gs`` without building it.
 
-    Runs the all-pairs computation on each factor, combines the entry
-    multisets by the selected method, and takes the diameter as the
+    Runs the all-pairs computation on each factor, combines the factor
+    distances by the selected method, and takes the diameter as the
     maximum factor diameter. ``method="oracle"`` instead defers to
     :func:`average_distance_oracle_n`.
     """
@@ -234,10 +195,7 @@ def average_distance_product_n(
         )
     order = _check_factors(gs)
     ds = [floyd_warshall(g) for g in gs]
-    if method == "naive":
-        sigma = sigma_naive(ds[0], ds[1]) if len(ds) == 2 else sigma_naive_n(ds)
-    else:
-        sigma = sigma_counting(ds[0], ds[1]) if len(ds) == 2 else sigma_counting_n(ds)
+    sigma = sigma_naive_n(ds) if method == "naive" else sigma_counting_n(ds)
     diam = max(diameter(d) for d in ds)
     return _report(gs, order, sigma, diam, method)
 

@@ -27,8 +27,8 @@ from strongprod.metrics import (
     average_distance_product,
     product_distance,
     product_distance_n,
-    sigma_counting,
-    sigma_naive,
+    sigma_counting_n,
+    sigma_naive_n,
 )
 from strongprod.product import strong_product, strong_product_n
 
@@ -181,7 +181,7 @@ def test_criterion_5_sigma_method_agreement(factor_pairs):
         d1, d2 = floyd_warshall(g1), floyd_warshall(g2)
         explicit = floyd_warshall(strong_product(g1, g2))
         oracle_sigma = int(explicit.finite_array().sum())
-        if not sigma_naive(d1, d2) == sigma_counting(d1, d2) == oracle_sigma:
+        if not sigma_naive_n([d1, d2]) == sigma_counting_n([d1, d2]) == oracle_sigma:
             disagreements += 1
     _report(5, "sigma agreement: naive = counting = explicit, 200 pairs",
             disagreements == 0)

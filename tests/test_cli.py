@@ -14,6 +14,9 @@ from strongprod.digraph import build_digraph, parse_edge_list, write_edge_list
 from strongprod.generate import complete_digraph, directed_cycle, directed_path
 from strongprod.product import strong_product, strong_product_n
 
+# A huge declared order with one arc: too few arcs to be strongly connected.
+HUGE_ORDER_TEXT = "5000000000 1\n0 4999999999\n"
+
 C3_AVGDIST_LINE = (
     '{"factor_orders":[3,3],"product_order":9,"sigma":"117",'
     '"mu":{"num":13,"den":8},"mu_decimal":"1.62500000000",'
@@ -58,6 +61,13 @@ class TestCheck:
         path = graph_file("empty.el", None, text="0 0\n")
         assert main(["check", path]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_huge_order_with_few_arcs_exits_three(self, graph_file, capsys):
+        path = graph_file("huge.el", None, text=HUGE_ORDER_TEXT)
+        assert main(["check", path]) == 3
+        assert capsys.readouterr().out == (
+            '{"n":5000000000,"m":1,"strongly_connected":false}\n'
+        )
 
     def test_single_vertex_is_connected(self, graph_file, capsys):
         path = graph_file("k1.el", complete_digraph(1))
@@ -212,6 +222,14 @@ class TestAvgdist:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "factor 1" in captured.err
+
+    def test_huge_order_factor_exits_three(self, graph_file, capsys):
+        a = graph_file("huge.el", None, text=HUGE_ORDER_TEXT)
+        b = graph_file("c3.el", directed_cycle(3))
+        assert main(["avgdist", a, b]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "factor 0" in captured.err
 
     def test_single_vertex_factors_exit_two(self, graph_file, capsys):
         a = graph_file("k1.el", complete_digraph(1))

@@ -8,7 +8,7 @@ sigma(C3 x C3) = 117, sigma(C2 x C3) = 42, sigma(K2 x K2) = 12.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from strongprod.apsp import diameter, floyd_warshall
 from strongprod.digraph import Digraph
@@ -27,9 +27,7 @@ from strongprod.metrics import (
     average_distance_product_n,
     product_distance,
     product_distance_n,
-    sigma_counting,
     sigma_counting_n,
-    sigma_naive,
     sigma_naive_n,
 )
 from strongprod.product import strong_product_n
@@ -94,18 +92,18 @@ class TestProductDistanceN:
 
 class TestSigma:
     def test_frozen_fixtures(self):
-        assert sigma_naive(D_C3, D_C3) == 117
-        assert sigma_counting(D_C3, D_C3) == 117
-        assert sigma_naive(D_C2, D_C3) == 42
-        assert sigma_counting(D_C2, D_C3) == 42
-        assert sigma_naive(D_C2, D_C2) == 12
-        assert sigma_counting(D_C2, D_C2) == 12
+        assert sigma_naive_n([D_C3, D_C3]) == 117
+        assert sigma_counting_n([D_C3, D_C3]) == 117
+        assert sigma_naive_n([D_C2, D_C3]) == 42
+        assert sigma_counting_n([D_C2, D_C3]) == 42
+        assert sigma_naive_n([D_C2, D_C2]) == 12
+        assert sigma_counting_n([D_C2, D_C2]) == 12
 
     def test_unreachable_raises(self):
         with pytest.raises(NotStronglyConnectedError):
-            sigma_naive(D_PATH, D_C3)
+            sigma_naive_n([D_PATH, D_C3])
         with pytest.raises(NotStronglyConnectedError):
-            sigma_counting(D_C3, D_PATH)
+            sigma_counting_n([D_C3, D_PATH])
 
     def test_single_factor_sum(self):
         # one factor: sigma is just the entry sum of that matrix
@@ -123,23 +121,17 @@ class TestSigma:
 @settings(max_examples=60, deadline=None)
 def test_sigma_methods_agree_and_are_symmetric(g1, g2):
     d1, d2 = floyd_warshall(g1), floyd_warshall(g2)
-    naive = sigma_naive(d1, d2)
-    assert sigma_counting(d1, d2) == naive
-    assert sigma_counting(d2, d1) == naive
-    assert sigma_naive(d2, d1) == naive
+    naive = sigma_naive_n([d1, d2])
     assert sigma_counting_n([d1, d2]) == naive
-    assert sigma_naive_n([d1, d2]) == naive
+    assert sigma_counting_n([d2, d1]) == naive
+    assert sigma_naive_n([d2, d1]) == naive
 
 
-@given(
-    strongly_connected_digraphs(max_n=4),
-    strongly_connected_digraphs(max_n=4),
-    strongly_connected_digraphs(max_n=4),
-)
+@given(st.lists(strongly_connected_digraphs(max_n=4), min_size=1, max_size=4))
 @settings(max_examples=40, deadline=None)
-def test_nary_sigma_matches_explicit_product(g1, g2, g3):
-    ds = [floyd_warshall(g) for g in (g1, g2, g3)]
-    explicit = floyd_warshall(strong_product_n([g1, g2, g3]))
+def test_nary_sigma_matches_explicit_product(gs):
+    ds = [floyd_warshall(g) for g in gs]
+    explicit = floyd_warshall(strong_product_n(gs))
     expected = int(explicit.finite_array().sum())
     assert sigma_counting_n(ds) == expected
     assert sigma_naive_n(ds) == expected
@@ -193,6 +185,13 @@ class TestAverageDistanceProduct:
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmallError):
             average_distance_product(complete_digraph(1), complete_digraph(1))
+
+    def test_sigma_past_int64_is_exact(self):
+        # K2^32 is complete on 2^32 vertices: every ordered pair at distance 1.
+        report = average_distance_product_n([complete_digraph(2)] * 32)
+        assert report.sigma == 2**32 * (2**32 - 1)
+        assert report.sigma > 2**63
+        assert report.mu == 1
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
