@@ -20,11 +20,8 @@ from .digraph import (
 )
 from .metrics import (
     MetricsReport,
-    average_distance_oracle,
     average_distance_oracle_n,
-    average_distance_product,
     average_distance_product_n,
-    product_distance,
     product_distance_n,
     sigma_counting_n,
     sigma_naive_n,
@@ -33,7 +30,6 @@ from .product import (
     DEFAULT_MAX_PRODUCT_VERTICES,
     decode_label,
     encode_label,
-    strong_product,
     strong_product_n,
 )
 
@@ -46,9 +42,7 @@ __all__ = [
     "UNREACHABLE",
     "adjacency_matrix",
     "average_distance",
-    "average_distance_oracle",
     "average_distance_oracle_n",
-    "average_distance_product",
     "average_distance_product_n",
     "bfs_distances",
     "build_digraph",
@@ -59,11 +53,9 @@ __all__ = [
     "is_strongly_connected",
     "load_digraph",
     "parse_edge_list",
-    "product_distance",
     "product_distance_n",
     "sigma_counting_n",
     "sigma_naive_n",
-    "strong_product",
     "strong_product_n",
     "write_edge_list",
 ]

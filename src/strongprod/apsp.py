@@ -90,10 +90,15 @@ class DistanceMatrix:
         return not (self.array == UNREACHABLE).any()
 
     def finite_array(self) -> np.ndarray:
-        """Dense int64 copy of the entries; every pair must be reachable."""
+        """The read-only distance array, once every pair is known reachable.
+
+        Raises :class:`NotStronglyConnectedError` naming the first
+        unreachable pair in row-major order.
+        """
         if not self.all_finite:
-            raise NotStronglyConnectedError("distance matrix has unreachable pairs")
-        return self.array.astype(np.int64)
+            i, j = divmod(int(np.argmax(self.array == UNREACHABLE)), self.n)
+            raise NotStronglyConnectedError(f"no directed path from {i} to {j}")
+        return self.array
 
 
 def _initial_distances(g: Digraph) -> np.ndarray:
@@ -145,22 +150,13 @@ def bfs_distances(g: Digraph, source: int) -> tuple[int | None, ...]:
     return tuple(dist)
 
 
-def _require_reachable(d: DistanceMatrix) -> None:
-    """Raise naming the first unreachable pair in row-major order, if any."""
-    if not d.all_finite:
-        i, j = divmod(int(np.argmax(d.array == UNREACHABLE)), d.n)
-        raise NotStronglyConnectedError(f"no directed path from {i} to {j}")
-
-
 def diameter(d: DistanceMatrix) -> int:
     """Maximum distance over ordered vertex pairs; 0 for a single vertex."""
-    _require_reachable(d)
-    return int(d.array.max())
+    return int(d.finite_array().max())
 
 
 def average_distance(d: DistanceMatrix) -> Fraction:
     """Exact mean distance over ordered pairs of distinct vertices."""
     if d.n < 2:
         raise OrderTooSmallError("average distance needs at least 2 vertices")
-    _require_reachable(d)
-    return Fraction(int(d.array.sum(dtype=np.int64)), d.n * (d.n - 1))
+    return Fraction(int(d.finite_array().sum(dtype=np.int64)), d.n * (d.n - 1))

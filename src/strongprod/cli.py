@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,18 +38,16 @@ EXIT_PRODUCT_TOO_LARGE = 4
 
 _JSON_COMPACT = {"separators": (",", ":")}
 
-
-@dataclass(frozen=True)
-class CliConfig:
-    """One parsed invocation."""
-
-    subcommand: str
-    paths: tuple[str, ...]
-    method: str = "counting"
-    fmt: str = "tsv"
-    out: str | None = None
-    max_product_vertices: int = DEFAULT_MAX_PRODUCT_VERTICES
-    check_connected: bool = False
+# Exit code of each error that ends a run with a message, not a traceback.
+_EXIT_CODES = {
+    EdgeListFormatError: EXIT_INVALID_INPUT,
+    DigraphValidationError: EXIT_INVALID_INPUT,
+    OrderTooSmallError: EXIT_INVALID_INPUT,
+    OSError: EXIT_INVALID_INPUT,
+    UnicodeDecodeError: EXIT_INVALID_INPUT,
+    NotStronglyConnectedError: EXIT_NOT_STRONGLY_CONNECTED,
+    ProductTooLargeError: EXIT_PRODUCT_TOO_LARGE,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,14 +66,17 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="command")
 
     p = sub.add_parser("check", help="validate a file and test strong connectivity")
+    p.set_defaults(run=cmd_check)
     p.add_argument("paths", nargs=1, metavar="file")
 
     p = sub.add_parser("apsp", help="print the all-pairs distance matrix")
+    p.set_defaults(run=cmd_apsp)
     p.add_argument("paths", nargs=1, metavar="file")
     p.add_argument("--format", dest="fmt", choices=("tsv", "json"), default="tsv",
                    help="tsv uses INF for unreachable pairs, json uses null")
 
     p = sub.add_parser("product", help="write the explicit strong product edge list")
+    p.set_defaults(run=cmd_product)
     p.add_argument("paths", nargs="+", metavar="file")
     p.add_argument("--out", help="write the edge list here instead of stdout")
     p.add_argument("--check-connected", action="store_true",
@@ -86,6 +86,7 @@ def _build_parser() -> _Parser:
                    help="refuse products larger than this many vertices")
 
     p = sub.add_parser("avgdist", help="average distance report of a strong product")
+    p.set_defaults(run=cmd_avgdist)
     p.add_argument("paths", nargs="+", metavar="file")
     p.add_argument("--method", choices=METHODS, default="counting")
     p.add_argument("--max-product-vertices", type=int,
@@ -95,20 +96,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        subcommand=args.subcommand,
-        paths=tuple(args.paths),
-        method=getattr(args, "method", "counting"),
-        fmt=getattr(args, "fmt", "tsv"),
-        out=getattr(args, "out", None),
-        max_product_vertices=getattr(
-            args, "max_product_vertices", DEFAULT_MAX_PRODUCT_VERTICES
-        ),
-        check_connected=getattr(args, "check_connected", False),
-    )
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -116,21 +103,21 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def cmd_check(config: CliConfig) -> int:
-    g = load_digraph(config.paths[0])
+def cmd_check(args: argparse.Namespace) -> int:
+    g = load_digraph(args.paths[0])
     connected = is_strongly_connected(g)
     print(json.dumps({"n": g.n, "m": g.m, "strongly_connected": connected},
                      **_JSON_COMPACT))
     return EXIT_OK if connected else EXIT_NOT_STRONGLY_CONNECTED
 
 
-def cmd_apsp(config: CliConfig) -> int:
-    d = floyd_warshall(load_digraph(config.paths[0]))
+def cmd_apsp(args: argparse.Namespace) -> int:
+    d = floyd_warshall(load_digraph(args.paths[0]))
     # Distances lie in [0, n); the extra last slot is where UNREACHABLE
     # (-1) indexes, so one lookup renders a whole row.
     tokens = np.array([*map(str, range(d.n)), None], dtype=object)
     write = sys.stdout.write
-    if config.fmt == "json":
+    if args.fmt == "json":
         tokens[UNREACHABLE] = "null"
         for i, row in enumerate(d.array):
             write(("[[" if i == 0 else ",[") + ",".join(tokens[row]) + "]")
@@ -142,10 +129,10 @@ def cmd_apsp(config: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_product(config: CliConfig) -> int:
-    factors = [load_digraph(path) for path in config.paths]
-    product = strong_product_n(factors, max_vertices=config.max_product_vertices)
-    if config.check_connected and not is_strongly_connected(product):
+def cmd_product(args: argparse.Namespace) -> int:
+    factors = [load_digraph(path) for path in args.paths]
+    product = strong_product_n(factors, max_vertices=args.max_product_vertices)
+    if args.check_connected and not is_strongly_connected(product):
         print("strongprod: product is not strongly connected", file=sys.stderr)
         return EXIT_NOT_STRONGLY_CONNECTED
     orders = " ".join(str(g.n) for g in factors)
@@ -154,16 +141,16 @@ def cmd_product(config: CliConfig) -> int:
         "vertex index = row-major encoding of factor coordinates, "
         "leftmost factor most significant",
     )
-    _emit(write_edge_list(product, comments=comments), config.out)
+    _emit(write_edge_list(product, comments=comments), args.out)
     return EXIT_OK
 
 
-def cmd_avgdist(config: CliConfig) -> int:
-    factors = [load_digraph(path) for path in config.paths]
+def cmd_avgdist(args: argparse.Namespace) -> int:
+    factors = [load_digraph(path) for path in args.paths]
     report = average_distance_product_n(
         factors,
-        method=config.method,
-        max_product_vertices=config.max_product_vertices,
+        method=args.method,
+        max_product_vertices=args.max_product_vertices,
     )
     payload = {
         "factor_orders": list(report.factor_orders),
@@ -178,14 +165,6 @@ def cmd_avgdist(config: CliConfig) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "check": cmd_check,
-    "apsp": cmd_apsp,
-    "product": cmd_product,
-    "avgdist": cmd_avgdist,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -196,21 +175,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"strongprod: error: {args.subcommand} needs at least two files",
               file=sys.stderr)
         return EXIT_USAGE
-    config = _config(args)
     try:
-        return _COMMANDS[config.subcommand](config)
-    except (EdgeListFormatError, DigraphValidationError, OrderTooSmallError) as exc:
+        return args.run(args)
+    except tuple(_EXIT_CODES) as exc:
         print(f"strongprod: error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except OSError as exc:
-        print(f"strongprod: error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except NotStronglyConnectedError as exc:
-        print(f"strongprod: error: {exc}", file=sys.stderr)
-        return EXIT_NOT_STRONGLY_CONNECTED
-    except ProductTooLargeError as exc:
-        print(f"strongprod: error: {exc}", file=sys.stderr)
-        return EXIT_PRODUCT_TOO_LARGE
+        return next(code for error, code in _EXIT_CODES.items()
+                    if isinstance(exc, error))
 
 
 def run() -> None:

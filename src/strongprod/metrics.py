@@ -56,18 +56,6 @@ def _checked_entry(d: DistanceMatrix, x: int, y: int) -> int:
     return e
 
 
-def product_distance(
-    d1: DistanceMatrix,
-    d2: DistanceMatrix,
-    x1: int,
-    y1: int,
-    x2: int,
-    y2: int,
-) -> int:
-    """Distance from x1x2 to y1y2 in the product: max of the factor distances."""
-    return max(_checked_entry(d1, x1, y1), _checked_entry(d2, x2, y2))
-
-
 def product_distance_n(
     ds: Sequence[DistanceMatrix],
     xs: Sequence[int],
@@ -81,10 +69,6 @@ def product_distance_n(
             f"{len(ds)} factors, {len(xs)} source and {len(ys)} target coordinates"
         )
     return max(_checked_entry(d, x, y) for d, x, y in zip(ds, xs, ys))
-
-
-def _finite_flat(d: DistanceMatrix) -> np.ndarray:
-    return d.finite_array().ravel()
 
 
 def _sigma_naive_flats(flats: list[np.ndarray]) -> int:
@@ -112,7 +96,7 @@ def sigma_naive_n(ds: Sequence[DistanceMatrix]) -> int:
     """
     if not ds:
         raise ArityMismatchError("need at least one factor")
-    return _sigma_naive_flats([_finite_flat(d) for d in ds])
+    return _sigma_naive_flats([d.finite_array().ravel() for d in ds])
 
 
 def sigma_counting_n(ds: Sequence[DistanceMatrix]) -> int:
@@ -126,7 +110,7 @@ def sigma_counting_n(ds: Sequence[DistanceMatrix]) -> int:
     """
     if not ds:
         raise ArityMismatchError("need at least one factor")
-    counts = [np.bincount(_finite_flat(d)) for d in ds]
+    counts = [np.bincount(d.finite_array().ravel()) for d in ds]
     size = max(len(c) for c in counts)
     cdfs = [np.cumsum(np.pad(c, (0, size - len(c)))).tolist() for c in counts]
     total = below = 0
@@ -200,18 +184,6 @@ def average_distance_product_n(
     return _report(gs, order, sigma, diam, method)
 
 
-def average_distance_product(
-    g1: Digraph,
-    g2: Digraph,
-    method: str = "counting",
-    max_product_vertices: int = DEFAULT_MAX_PRODUCT_VERTICES,
-) -> MetricsReport:
-    """Binary-product metrics from the two factor matrices."""
-    return average_distance_product_n(
-        [g1, g2], method=method, max_product_vertices=max_product_vertices
-    )
-
-
 def average_distance_oracle_n(
     gs: Sequence[Digraph],
     max_product_vertices: int = DEFAULT_MAX_PRODUCT_VERTICES,
@@ -222,14 +194,3 @@ def average_distance_oracle_n(
     d = floyd_warshall(product)
     sigma = int(d.finite_array().sum(dtype=np.int64))
     return _report(gs, order, sigma, diameter(d), "oracle")
-
-
-def average_distance_oracle(
-    g1: Digraph,
-    g2: Digraph,
-    max_product_vertices: int = DEFAULT_MAX_PRODUCT_VERTICES,
-) -> MetricsReport:
-    """Binary-product metrics via the explicit product."""
-    return average_distance_oracle_n(
-        [g1, g2], max_product_vertices=max_product_vertices
-    )

@@ -2,8 +2,8 @@
 
 A product vertex is a tuple of factor coordinates; its flat index is the
 row-major mixed-radix encoding with the leftmost factor most significant.
-The n-ary product builds every arc under that codec in one array pass,
-and the binary product is its two-factor case.
+The product builds every arc under that codec in one array pass, for
+any number of factors.
 """
 
 from __future__ import annotations
@@ -49,21 +49,6 @@ def decode_label(flat: int, dims: Sequence[int]) -> tuple[int, ...]:
         coords.append(flat % dim)
         flat //= dim
     return tuple(reversed(coords))
-
-
-def strong_product(
-    g1: Digraph,
-    g2: Digraph,
-    max_vertices: int = DEFAULT_MAX_PRODUCT_VERTICES,
-) -> Digraph:
-    """Strong product of two digraphs on ``g1.n * g2.n`` vertices.
-
-    Arc x1x2 -> y1y2 exists when one factor holds its vertex while the
-    other steps along an arc, or both factors step simultaneously. The
-    three arc families are disjoint, so the arc count is
-    ``v1*e2 + v2*e1 + e1*e2``.
-    """
-    return strong_product_n([g1, g2], max_vertices=max_vertices)
 
 
 def strong_product_n(

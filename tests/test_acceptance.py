@@ -23,14 +23,13 @@ from strongprod.generate import (
     random_strongly_connected,
 )
 from strongprod.metrics import (
-    average_distance_oracle,
-    average_distance_product,
-    product_distance,
+    average_distance_oracle_n,
+    average_distance_product_n,
     product_distance_n,
     sigma_counting_n,
     sigma_naive_n,
 )
-from strongprod.product import strong_product, strong_product_n
+from strongprod.product import strong_product_n
 
 SEED = 20250810
 
@@ -56,7 +55,9 @@ def test_criterion_1_complete_digraph_average():
     start = time.perf_counter()
     failures = []
 
-    complete_pair = average_distance_product(complete_digraph(2), complete_digraph(3))
+    complete_pair = average_distance_product_n(
+        [complete_digraph(2), complete_digraph(3)]
+    )
     if complete_pair.mu != Fraction(1):
         failures.append(f"K2 x K3 gave mu = {complete_pair.mu}, expected exactly 1")
 
@@ -67,7 +68,7 @@ def test_criterion_1_complete_digraph_average():
         (directed_cycle(3), directed_cycle(3)),
     ]
     for g1, g2 in incomplete_pairs:
-        mu = average_distance_product(g1, g2).mu
+        mu = average_distance_product_n([g1, g2]).mu
         if not mu > 1:
             failures.append(f"non-complete pair ({g1.n}, {g2.n}) gave mu = {mu}")
 
@@ -86,7 +87,7 @@ def test_criterion_2_binary_distance_formula(factor_pairs):
 
     for g1, g2 in factor_pairs:
         d1, d2 = floyd_warshall(g1), floyd_warshall(g2)
-        explicit = floyd_warshall(strong_product(g1, g2))
+        explicit = floyd_warshall(strong_product_n([g1, g2]))
         v2 = g2.n
         for u in range(explicit.n):
             x1, x2 = divmod(u, v2)
@@ -100,7 +101,8 @@ def test_criterion_2_binary_distance_formula(factor_pairs):
                     case_counts["first_larger"] += 1
                 else:
                     case_counts["second_larger"] += 1
-                if product_distance(d1, d2, x1, y1, x2, y2) != explicit.entry(u, w):
+                formula = product_distance_n([d1, d2], (x1, x2), (y1, y2))
+                if formula != explicit.entry(u, w):
                     mismatches += 1
     elapsed = time.perf_counter() - start
 
@@ -154,11 +156,11 @@ def test_criterion_3_nary_distance_formula():
 def test_criterion_4_frozen_fixtures():
     failures = []
 
-    c3c3 = average_distance_oracle(directed_cycle(3), directed_cycle(3))
+    c3c3 = average_distance_oracle_n([directed_cycle(3), directed_cycle(3)])
     if (c3c3.sigma, c3c3.mu) != (117, Fraction(13, 8)):
         failures.append(f"C3 x C3 gave sigma={c3c3.sigma}, mu={c3c3.mu}")
 
-    c2c3 = average_distance_oracle(directed_cycle(2), directed_cycle(3))
+    c2c3 = average_distance_oracle_n([directed_cycle(2), directed_cycle(3)])
     if (c2c3.sigma, c2c3.mu, c2c3.diameter) != (42, Fraction(7, 5), 2):
         failures.append(
             f"C2 x C3 gave sigma={c2c3.sigma}, mu={c2c3.mu}, diam={c2c3.diameter}"
@@ -179,7 +181,7 @@ def test_criterion_5_sigma_method_agreement(factor_pairs):
     disagreements = 0
     for g1, g2 in factor_pairs:
         d1, d2 = floyd_warshall(g1), floyd_warshall(g2)
-        explicit = floyd_warshall(strong_product(g1, g2))
+        explicit = floyd_warshall(strong_product_n([g1, g2]))
         oracle_sigma = int(explicit.finite_array().sum())
         if not sigma_naive_n([d1, d2]) == sigma_counting_n([d1, d2]) == oracle_sigma:
             disagreements += 1
@@ -194,7 +196,7 @@ def test_criterion_6_diameter_identity(factor_pairs):
         expected = max(
             diameter(floyd_warshall(g1)), diameter(floyd_warshall(g2))
         )
-        actual = diameter(floyd_warshall(strong_product(g1, g2)))
+        actual = diameter(floyd_warshall(strong_product_n([g1, g2])))
         if actual != expected:
             violations += 1
     _report(6, "product diameter = max of factor diameters, 200 pairs",

@@ -73,6 +73,17 @@ class TestDistanceMatrixValue:
         assert d == floyd_warshall(directed_path(2))
         assert d.entry(1, 0) is None
 
+    def test_finite_array_is_the_array_itself(self):
+        d = floyd_warshall(directed_cycle(3))
+        assert d.finite_array() is d.array
+        assert not d.finite_array().flags.writeable
+
+    def test_finite_array_names_the_first_unreachable_pair(self):
+        # Row-major order: (1, 0) comes before (2, 0) and (2, 1).
+        d = floyd_warshall(directed_path(3))
+        with pytest.raises(NotStronglyConnectedError, match="from 1 to 0$"):
+            d.finite_array()
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             DistanceMatrix(np.zeros((2, 3), dtype=np.int16))

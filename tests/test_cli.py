@@ -12,10 +12,13 @@ import strongprod
 from strongprod.cli import main
 from strongprod.digraph import build_digraph, parse_edge_list, write_edge_list
 from strongprod.generate import complete_digraph, directed_cycle, directed_path
-from strongprod.product import strong_product, strong_product_n
+from strongprod.product import strong_product_n
 
 # A huge declared order with one arc: too few arcs to be strongly connected.
 HUGE_ORDER_TEXT = "5000000000 1\n0 4999999999\n"
+
+# A 3-cycle whose last line ends in a byte that is not UTF-8.
+NON_UTF8_BYTES = b"3 3\n0 1\n1 2\n2 0\xff\n"
 
 C3_AVGDIST_LINE = (
     '{"factor_orders":[3,3],"product_order":9,"sigma":"117",'
@@ -56,6 +59,15 @@ class TestCheck:
     def test_missing_file_exits_two(self, capsys):
         assert main(["check", "/nonexistent/graph.el"]) == 2
         assert capsys.readouterr().err != ""
+
+    def test_non_utf8_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.el"
+        path.write_bytes(NON_UTF8_BYTES)
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("strongprod: error: ")
+        assert "0xff" in captured.err
 
     def test_zero_vertex_file_exits_two(self, graph_file, capsys):
         path = graph_file("empty.el", None, text="0 0\n")
@@ -109,7 +121,7 @@ class TestProduct:
         assert main(["product", a, b]) == 0
         out = capsys.readouterr().out
         parsed = build_digraph(parse_edge_list(out))
-        assert parsed == strong_product(directed_cycle(2), directed_cycle(3))
+        assert parsed == strong_product_n([directed_cycle(2), directed_cycle(3)])
         data_lines = [
             line for line in out.splitlines() if line and not line.startswith("#")
         ]
@@ -135,7 +147,16 @@ class TestProduct:
         assert main(["product", a, a, "--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
         parsed = build_digraph(parse_edge_list(out.read_text(encoding="utf-8")))
-        assert parsed == strong_product(directed_cycle(2), directed_cycle(2))
+        assert parsed == strong_product_n([directed_cycle(2), directed_cycle(2)])
+
+    def test_out_in_missing_directory_exits_two(self, graph_file, capsys, tmp_path):
+        a = graph_file("c2.el", directed_cycle(2))
+        out = tmp_path / "missing" / "x.el"
+        assert main(["product", a, a, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("strongprod: error: ")
+        assert not out.exists()
 
     def test_size_limit_exits_four(self, graph_file, capsys):
         a = graph_file("c3.el", directed_cycle(3))
@@ -230,6 +251,15 @@ class TestAvgdist:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "factor 0" in captured.err
+
+    def test_non_utf8_factor_exits_two(self, graph_file, tmp_path, capsys):
+        bad = tmp_path / "bad.el"
+        bad.write_bytes(NON_UTF8_BYTES)
+        c3 = graph_file("c3.el", directed_cycle(3))
+        assert main(["avgdist", c3, str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("strongprod: error: ")
 
     def test_single_vertex_factors_exit_two(self, graph_file, capsys):
         a = graph_file("k1.el", complete_digraph(1))

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strongprod.apsp import diameter, floyd_warshall
+from strongprod.apsp import average_distance, diameter, floyd_warshall
 from strongprod.digraph import Digraph
 from strongprod.errors import (
     ArityMismatchError,
@@ -21,11 +21,8 @@ from strongprod.errors import (
 from strongprod.generate import complete_digraph, directed_cycle, directed_path
 from strongprod.metrics import (
     _decimal_12sig,
-    average_distance_oracle,
     average_distance_oracle_n,
-    average_distance_product,
     average_distance_product_n,
-    product_distance,
     product_distance_n,
     sigma_counting_n,
     sigma_naive_n,
@@ -43,26 +40,26 @@ D_PATH = floyd_warshall(directed_path(3))
 class TestProductDistance:
     def test_first_factor_dominates(self):
         # d1 = d(0,2) = 2 in C3, d2 = d(0,1) = 1
-        assert product_distance(D_C3, D_C3, 0, 2, 0, 1) == 2
+        assert product_distance_n([D_C3, D_C3], (0, 0), (2, 1)) == 2
 
     def test_second_factor_dominates(self):
-        assert product_distance(D_C3, D_C3, 0, 1, 0, 2) == 2
+        assert product_distance_n([D_C3, D_C3], (0, 0), (1, 2)) == 2
 
     def test_equal_distances(self):
-        assert product_distance(D_C3, D_C3, 0, 1, 2, 0) == 1
+        assert product_distance_n([D_C3, D_C3], (0, 2), (1, 0)) == 1
 
     def test_same_vertex_is_zero(self):
-        assert product_distance(D_C3, D_C2, 1, 1, 0, 0) == 0
+        assert product_distance_n([D_C3, D_C2], (1, 0), (1, 0)) == 0
 
     def test_unreachable_raises(self):
         with pytest.raises(NotStronglyConnectedError):
-            product_distance(D_PATH, D_C3, 2, 0, 0, 1)
+            product_distance_n([D_PATH, D_C3], (2, 0), (0, 1))
 
     def test_out_of_range_raises(self):
         with pytest.raises(IndexError):
-            product_distance(D_C3, D_C3, 0, 3, 0, 1)
+            product_distance_n([D_C3, D_C3], (0, 0), (3, 1))
         with pytest.raises(IndexError):
-            product_distance(D_C3, D_C3, -1, 0, 0, 1)
+            product_distance_n([D_C3, D_C3], (-1, 0), (0, 1))
 
 
 class TestProductDistanceN:
@@ -110,6 +107,17 @@ class TestSigma:
         assert sigma_naive_n([D_C3]) == 9
         assert sigma_counting_n([D_C3]) == 9
 
+    @pytest.mark.parametrize("route", [
+        diameter,
+        average_distance,
+        lambda d: sigma_naive_n([D_C3, d]),
+        lambda d: sigma_counting_n([d, D_C3]),
+    ], ids=["diameter", "average_distance", "sigma_naive_n", "sigma_counting_n"])
+    def test_every_route_names_the_first_unreachable_pair(self, route):
+        with pytest.raises(NotStronglyConnectedError,
+                           match="^no directed path from 1 to 0$"):
+            route(D_PATH)
+
     def test_empty_factor_list(self):
         with pytest.raises(ArityMismatchError):
             sigma_naive_n([])
@@ -146,20 +154,20 @@ def test_binary_formula_matches_explicit_product(g1, g2):
         for x2 in range(g2.n):
             for y1 in range(g1.n):
                 for y2 in range(g2.n):
-                    assert product_distance(d1, d2, x1, y1, x2, y2) == (
+                    assert product_distance_n([d1, d2], (x1, x2), (y1, y2)) == (
                         explicit.entry(x1 * g2.n + x2, y1 * g2.n + y2)
                     )
 
 
 class TestAverageDistanceProduct:
     def test_complete_times_complete_is_one(self):
-        report = average_distance_product(complete_digraph(2), complete_digraph(3))
+        report = average_distance_product_n([complete_digraph(2), complete_digraph(3)])
         assert report.mu == Fraction(1)
         assert report.mu_decimal == "1.00000000000"
         assert report.diameter == 1
 
     def test_c2_c3(self):
-        report = average_distance_product(directed_cycle(2), directed_cycle(3))
+        report = average_distance_product_n([directed_cycle(2), directed_cycle(3)])
         assert report.sigma == 42
         assert report.mu == Fraction(7, 5)
         assert report.diameter == 2
@@ -167,8 +175,8 @@ class TestAverageDistanceProduct:
 
     def test_c3_c3_all_methods(self):
         for method in ("naive", "counting", "oracle"):
-            report = average_distance_product(
-                directed_cycle(3), directed_cycle(3), method=method
+            report = average_distance_product_n(
+                [directed_cycle(3), directed_cycle(3)], method=method
             )
             assert report.sigma == 117
             assert report.mu == Fraction(13, 8)
@@ -178,13 +186,13 @@ class TestAverageDistanceProduct:
 
     def test_factor_index_in_error(self):
         with pytest.raises(NotStronglyConnectedError) as info:
-            average_distance_product(directed_cycle(3), directed_path(3))
+            average_distance_product_n([directed_cycle(3), directed_path(3)])
         assert info.value.factor == 1
         assert "factor 1" in str(info.value)
 
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmallError):
-            average_distance_product(complete_digraph(1), complete_digraph(1))
+            average_distance_product_n([complete_digraph(1), complete_digraph(1)])
 
     def test_sigma_past_int64_is_exact(self):
         # K2^32 is complete on 2^32 vertices: every ordered pair at distance 1.
@@ -195,8 +203,8 @@ class TestAverageDistanceProduct:
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            average_distance_product(
-                directed_cycle(2), directed_cycle(2), method="fast"
+            average_distance_product_n(
+                [directed_cycle(2), directed_cycle(2)], method="fast"
             )
 
     def test_empty_factor_list(self):
@@ -204,7 +212,7 @@ class TestAverageDistanceProduct:
             average_distance_product_n([])
 
     def test_single_vertex_factor_reduces_to_other(self):
-        report = average_distance_product(complete_digraph(1), directed_cycle(3))
+        report = average_distance_product_n([complete_digraph(1), directed_cycle(3)])
         assert report.sigma == 9
         assert report.mu == Fraction(3, 2)
         assert report.product_order == 3
@@ -231,28 +239,28 @@ def test_four_factor_report_matches_oracle():
 
 class TestAverageDistanceOracle:
     def test_c3_c3(self):
-        report = average_distance_oracle(directed_cycle(3), directed_cycle(3))
+        report = average_distance_oracle_n([directed_cycle(3), directed_cycle(3)])
         assert report.sigma == 117
         assert report.mu == Fraction(13, 8)
         assert report.diameter == 2
         assert report.method == "oracle"
 
     def test_complete_factors(self):
-        assert average_distance_oracle(
-            complete_digraph(2), complete_digraph(2)
+        assert average_distance_oracle_n(
+            [complete_digraph(2), complete_digraph(2)]
         ).mu == 1
 
     def test_disconnected_factor(self):
         with pytest.raises(NotStronglyConnectedError):
-            average_distance_oracle(directed_path(2), directed_cycle(2))
+            average_distance_oracle_n([directed_path(2), directed_cycle(2)])
 
 
 @given(strongly_connected_digraphs(max_n=5), strongly_connected_digraphs(max_n=5))
 @settings(max_examples=50, deadline=None)
 def test_report_invariants_and_route_agreement(g1, g2):
-    counting = average_distance_product(g1, g2, method="counting")
-    naive = average_distance_product(g1, g2, method="naive")
-    oracle = average_distance_oracle(g1, g2)
+    counting = average_distance_product_n([g1, g2], method="counting")
+    naive = average_distance_product_n([g1, g2], method="naive")
+    oracle = average_distance_oracle_n([g1, g2])
     for report in (counting, naive, oracle):
         assert report.sigma == counting.sigma
         assert report.mu == counting.mu
@@ -266,7 +274,7 @@ def test_report_invariants_and_route_agreement(g1, g2):
 @given(strongly_connected_digraphs(max_n=5), strongly_connected_digraphs(max_n=5))
 @settings(max_examples=50, deadline=None)
 def test_diameter_is_max_of_factor_diameters(g1, g2):
-    report = average_distance_oracle(g1, g2)
+    report = average_distance_oracle_n([g1, g2])
     d1 = diameter(floyd_warshall(g1))
     d2 = diameter(floyd_warshall(g2))
     assert report.diameter == max(d1, d2)
@@ -274,7 +282,7 @@ def test_diameter_is_max_of_factor_diameters(g1, g2):
 
 @pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3), (3, 3), (1, 2), (4, 2)])
 def test_mu_is_one_for_complete_factors(n1, n2):
-    report = average_distance_product(complete_digraph(n1), complete_digraph(n2))
+    report = average_distance_product_n([complete_digraph(n1), complete_digraph(n2)])
     assert report.mu == 1
 
 
@@ -285,7 +293,7 @@ def test_mu_above_one_when_a_factor_is_incomplete(g1, g2):
         # drop one arc: with n >= 3 the detour through a third vertex
         # keeps the digraph strongly connected but no longer complete
         g1 = Digraph(g1.n, frozenset(sorted(g1.arcs)[1:]))
-    report = average_distance_product(g1, g2)
+    report = average_distance_product_n([g1, g2])
     assert report.mu > 1
 
 

@@ -20,7 +20,6 @@ from strongprod.generate import complete_digraph, directed_cycle, directed_path
 from strongprod.product import (
     decode_label,
     encode_label,
-    strong_product,
     strong_product_n,
 )
 
@@ -59,27 +58,27 @@ def test_codec_round_trip_over_product_vertices(g1, g2):
 
 class TestStrongProduct:
     def test_c2_c3_arc_count(self):
-        p = strong_product(directed_cycle(2), directed_cycle(3))
+        p = strong_product_n([directed_cycle(2), directed_cycle(3)])
         assert p.n == 6
         assert p.m == 18
 
     def test_k2_k3_is_complete_on_six(self):
-        p = strong_product(complete_digraph(2), complete_digraph(3))
+        p = strong_product_n([complete_digraph(2), complete_digraph(3)])
         assert p == complete_digraph(6)
         assert p.m == 30
 
     def test_single_vertex_factor_is_identity(self):
         g = directed_cycle(4)
-        assert strong_product(g, complete_digraph(1)) == g
-        assert strong_product(complete_digraph(1), g) == g
+        assert strong_product_n([g, complete_digraph(1)]) == g
+        assert strong_product_n([complete_digraph(1), g]) == g
 
     def test_size_limit(self):
         with pytest.raises(ProductTooLargeError):
-            strong_product(directed_cycle(3), directed_cycle(3), max_vertices=8)
+            strong_product_n([directed_cycle(3), directed_cycle(3)], max_vertices=8)
 
     def test_definition_on_a_small_case(self):
         g1, g2 = directed_path(2), directed_cycle(2)
-        p = strong_product(g1, g2)
+        p = strong_product_n([g1, g2])
         # vertices: 00->0, 01->1, 10->2, 11->3
         assert p.arcs == frozenset(
             {(0, 1), (1, 0), (2, 3), (3, 2), (0, 2), (1, 3), (0, 3), (1, 2)}
@@ -110,29 +109,29 @@ class TestStrongProductN:
 @given(digraphs(max_n=3), digraphs(max_n=3), digraphs(max_n=3))
 @settings(max_examples=60, deadline=None)
 def test_associativity_under_the_codec(a, b, c):
-    left = strong_product(strong_product(a, b), c)
-    right = strong_product(a, strong_product(b, c))
+    left = strong_product_n([strong_product_n([a, b]), c])
+    right = strong_product_n([a, strong_product_n([b, c])])
     assert left == right
 
 
 @given(digraphs(max_n=8), digraphs(max_n=8))
 @settings(max_examples=80, deadline=None)
 def test_arc_count_identity(g1, g2):
-    p = strong_product(g1, g2)
+    p = strong_product_n([g1, g2])
     assert p.m == g1.n * g2.m + g2.n * g1.m + g1.m * g2.m
 
 
 @given(strongly_connected_digraphs(max_n=6), strongly_connected_digraphs(max_n=6))
 @settings(max_examples=60, deadline=None)
 def test_product_of_connected_factors_is_connected(g1, g2):
-    assert is_strongly_connected(strong_product(g1, g2))
+    assert is_strongly_connected(strong_product_n([g1, g2]))
 
 
 @given(digraphs(max_n=5), digraphs(max_n=5))
 @settings(max_examples=60, deadline=None)
 def test_commutative_up_to_coordinate_swap(g1, g2):
-    ab = strong_product(g1, g2)
-    ba = strong_product(g2, g1)
+    ab = strong_product_n([g1, g2])
+    ba = strong_product_n([g2, g1])
 
     def swap(flat):
         x1, x2 = divmod(flat, g2.n)
@@ -144,7 +143,7 @@ def test_commutative_up_to_coordinate_swap(g1, g2):
 @given(digraphs(max_n=5), digraphs(max_n=5))
 @settings(max_examples=60, deadline=None)
 def test_product_contains_factor_aligned_copies(g1, g2):
-    p = strong_product(g1, g2)
+    p = strong_product_n([g1, g2])
     for x1 in range(g1.n):
         induced = frozenset(
             (x2, y2)
