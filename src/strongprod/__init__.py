@@ -11,7 +11,6 @@ from .apsp import (
 from .digraph import (
     Digraph,
     EdgeListDocument,
-    adjacency_matrix,
     build_digraph,
     is_strongly_connected,
     load_digraph,
@@ -40,7 +39,6 @@ __all__ = [
     "EdgeListDocument",
     "MetricsReport",
     "UNREACHABLE",
-    "adjacency_matrix",
     "average_distance",
     "average_distance_oracle_n",
     "average_distance_product_n",

@@ -73,14 +73,6 @@ class DistanceMatrix:
     def __hash__(self) -> int:
         return hash((self.n, self.array.tobytes()))
 
-    @cached_property
-    def entries(self) -> tuple[tuple[int | None, ...], ...]:
-        """Rows as tuples, ``None`` marking unreachable pairs."""
-        return tuple(
-            tuple(None if e == UNREACHABLE else e for e in row)
-            for row in self.array.tolist()
-        )
-
     def entry(self, i: int, j: int) -> int | None:
         e = int(self.array[i, j])
         return None if e == UNREACHABLE else e

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .apsp import UNREACHABLE, floyd_warshall
-from .digraph import is_strongly_connected, load_digraph, write_edge_list
+from .digraph import Digraph, is_strongly_connected, load_digraph, write_edge_list
 from .errors import (
     DigraphValidationError,
     EdgeListFormatError,
@@ -38,13 +38,16 @@ EXIT_PRODUCT_TOO_LARGE = 4
 
 _JSON_COMPACT = {"separators": (",", ":")}
 
+
+class _InputFileError(Exception):
+    """A fault in the content of an input file; the message names the file."""
+
+
 # Exit code of each error that ends a run with a message, not a traceback.
 _EXIT_CODES = {
-    EdgeListFormatError: EXIT_INVALID_INPUT,
-    DigraphValidationError: EXIT_INVALID_INPUT,
+    _InputFileError: EXIT_INVALID_INPUT,
     OrderTooSmallError: EXIT_INVALID_INPUT,
     OSError: EXIT_INVALID_INPUT,
-    UnicodeDecodeError: EXIT_INVALID_INPUT,
     NotStronglyConnectedError: EXIT_NOT_STRONGLY_CONNECTED,
     ProductTooLargeError: EXIT_PRODUCT_TOO_LARGE,
 }
@@ -103,8 +106,19 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _load(path: str) -> Digraph:
+    """``load_digraph``, with the path in front of a message about the content.
+
+    An ``OSError`` already names the path and passes through as it is.
+    """
+    try:
+        return load_digraph(path)
+    except (EdgeListFormatError, DigraphValidationError, UnicodeDecodeError) as exc:
+        raise _InputFileError(f"{path}: {exc}") from exc
+
+
 def cmd_check(args: argparse.Namespace) -> int:
-    g = load_digraph(args.paths[0])
+    g = _load(args.paths[0])
     connected = is_strongly_connected(g)
     print(json.dumps({"n": g.n, "m": g.m, "strongly_connected": connected},
                      **_JSON_COMPACT))
@@ -112,7 +126,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_apsp(args: argparse.Namespace) -> int:
-    d = floyd_warshall(load_digraph(args.paths[0]))
+    d = floyd_warshall(_load(args.paths[0]))
     # Distances lie in [0, n); the extra last slot is where UNREACHABLE
     # (-1) indexes, so one lookup renders a whole row.
     tokens = np.array([*map(str, range(d.n)), None], dtype=object)
@@ -130,9 +144,11 @@ def cmd_apsp(args: argparse.Namespace) -> int:
 
 
 def cmd_product(args: argparse.Namespace) -> int:
-    factors = [load_digraph(path) for path in args.paths]
+    factors = [_load(path) for path in args.paths]
     product = strong_product_n(factors, max_vertices=args.max_product_vertices)
-    if args.check_connected and not is_strongly_connected(product):
+    # Product distance is the maximum of the factor distances, so the
+    # product is strongly connected iff every factor is.
+    if args.check_connected and not all(map(is_strongly_connected, factors)):
         print("strongprod: product is not strongly connected", file=sys.stderr)
         return EXIT_NOT_STRONGLY_CONNECTED
     orders = " ".join(str(g.n) for g in factors)
@@ -146,7 +162,7 @@ def cmd_product(args: argparse.Namespace) -> int:
 
 
 def cmd_avgdist(args: argparse.Namespace) -> int:
-    factors = [load_digraph(path) for path in args.paths]
+    factors = [_load(path) for path in args.paths]
     report = average_distance_product_n(
         factors,
         method=args.method,

@@ -30,12 +30,28 @@ from .errors import (
 
 @dataclass(frozen=True)
 class EdgeListDocument:
-    """Parsed edge-list file: declared counts plus arcs in file order."""
+    """Parsed edge-list file: declared counts plus arcs in file order.
+
+    ``arcs`` is a read-only ``(m, 2)`` array: int64, or object when a
+    vertex is too large for int64.
+    """
 
     n: int
     m: int
-    arcs: tuple[tuple[int, int], ...]
+    arcs: np.ndarray
 
+
+# Bytes the array parser accepts after the header.
+_ARC_BYTES = np.zeros(256, dtype=bool)
+_ARC_BYTES[list(b"0123456789 \t\n")] = True
+
+# Longest number the array parser reads: 10**18 - 1 < 2**63.
+_MAX_DIGITS = 18
+_POWERS = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
+
+# The header is looked for in the text up to the first newline after this
+# many characters, before the whole text.
+_HEADER_PREFIX = 1024
 
 # Largest order whose arc keys ``u * n + v`` fit in int64.
 _MAX_KEYED_ORDER = isqrt(np.iinfo(np.int64).max)
@@ -103,31 +119,19 @@ class Digraph:
         reversed_rows = self.arc_array[:, ::-1]
         return _csr(self.n, reversed_rows[np.argsort(_row_keys(reversed_rows, self.n))])
 
-    def has_arc(self, u: int, v: int) -> bool:
-        if not 0 <= u < self.n:
-            return False
-        offsets, heads = self._out_csr
-        row = heads[offsets[u]:offsets[u + 1]]
-        i = int(np.searchsorted(row, v))
-        return i < len(row) and row[i] == v
-
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
         return _neighbour_tuples(*self._out_csr)
 
-    @cached_property
-    def predecessors(self) -> tuple[tuple[int, ...], ...]:
-        return _neighbour_tuples(*self._in_csr)
-
 
 def _arc_rows(arcs) -> np.ndarray:
-    """A fresh ``(m, 2)`` array of the given pairs, in the given order.
+    """An ``(m, 2)`` array of the given pairs, in the given order.
 
-    A vertex too large for int64 gives an object array, so that the range
-    check still names it.
+    An array is used as it is. A vertex too large for int64 gives an
+    object array, so that the range check still names it.
     """
     if isinstance(arcs, np.ndarray):
-        rows = np.array(arcs)
+        rows = arcs
         if rows.size == 0:
             rows = rows.reshape(0, 2)
         if rows.ndim != 2 or rows.shape[1] != 2:
@@ -182,7 +186,86 @@ def parse_edge_list(text: str) -> EdgeListDocument:
     The format is a header line ``n m`` followed by exactly ``m`` arc lines
     ``u v``; tokens are whitespace-separated decimal integers. Blank lines
     and lines starting with ``#`` are ignored.
+
+    Plain files are parsed in one numpy pass. Text that pass does not
+    accept goes to the line scanner, the only source of errors: every
+    fault, and rarer forms such as comments after the header, ``\\r``,
+    ``+``, ``_`` or non-ASCII digits in numbers, and vertices too large
+    for int64 (which come back as an object array).
     """
+    doc = _parse_arrays(text)
+    return _parse_lines(text) if doc is None else doc
+
+
+def _header(text: str) -> tuple[str, int] | None:
+    """The header line and the offset just past its line break, if any.
+
+    Lines are split as the scanner splits them, over a prefix that ends on
+    a newline, so their numbers and ends are the text's own. The whole text
+    is split only when the prefix holds no data line.
+    """
+    cut = text.find("\n", _HEADER_PREFIX) + 1
+    for head in (text[:cut], text) if cut else (text,):
+        found = next(_data_lines(head), None)
+        if found is not None:
+            number, header = found
+            return header, sum(map(len, head.splitlines(keepends=True)[:number]))
+    return None
+
+
+def _parse_arrays(text: str) -> EdgeListDocument | None:
+    """Parse a plain file in one numpy pass over its body; None for any other text.
+
+    Plain means: an ``n m`` header of ASCII digits, then only ASCII digits,
+    spaces, tabs and newlines; every non-blank line holds two numbers of at
+    most 18 digits, ``m`` lines in all.
+    """
+    found = _header(text)
+    if found is None:
+        return None
+    header, start = found
+    counts = header.split()
+    if len(counts) != 2 or not all(c.isascii() and c.isdigit() for c in counts):
+        return None
+    n, m = map(int, counts)
+    body = text[start:]
+    if not body.isascii():
+        return None
+    a = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    if not _ARC_BYTES.take(a).all():
+        return None
+    # Numbers are the digit runs; the other bytes are blanks and newlines.
+    is_digit = np.zeros(len(a) + 2, dtype=bool)
+    np.greater_equal(a, ord("0"), out=is_digit[1:-1])
+    edges = np.flatnonzero(is_digit[1:] != is_digit[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    if len(starts) != 2 * m:
+        return None
+    # Numbers that start before each newline, hence numbers per line.
+    before = np.searchsorted(starts, np.flatnonzero(a == ord("\n")))
+    before = np.concatenate(([0], before, [2 * m]))
+    per_line = before[1:] - before[:-1]
+    if not ((per_line == 0) | (per_line == 2)).all():
+        return None
+    width = ends - starts
+    widest = int(width.max(initial=0))
+    if widest > _MAX_DIGITS:
+        return None
+    values = np.zeros(2 * m, dtype=np.int64)
+    for place in range(widest):  # from the units digit leftwards
+        digit = a.take(np.maximum(ends - 1 - place, starts)) - ord("0")
+        digit[width <= place] = 0
+        values += digit * _POWERS[place]
+    return EdgeListDocument(n, m, _read_only(values.reshape(m, 2)))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _parse_lines(text: str) -> EdgeListDocument:
+    """Parse edge-list text line by line, raising on the first fault."""
     lines = _data_lines(text)
     try:
         header_line, header = next(lines)
@@ -218,7 +301,7 @@ def parse_edge_list(text: str) -> EdgeListDocument:
         arcs.append((u, v))
     if len(arcs) != m:
         raise ArcCountError(f"declared {m} arcs, found {len(arcs)}")
-    return EdgeListDocument(n=n, m=m, arcs=tuple(arcs))
+    return EdgeListDocument(n=n, m=m, arcs=_read_only(_arc_rows(arcs)))
 
 
 def build_digraph(doc: EdgeListDocument) -> Digraph:
@@ -275,13 +358,6 @@ def write_edge_list(g: Digraph, comments: Sequence[str] = ()) -> str:
     tokens[:, 0] = np.array([f"{x} " for x in labels], dtype=object)[index[:, 0]]
     tokens[:, 1] = np.array([f"{x}\n" for x in labels], dtype=object)[index[:, 1]]
     return head + "".join(tokens.ravel().tolist())
-
-
-def adjacency_matrix(g: Digraph) -> np.ndarray:
-    """Dense (0,1) matrix with entry ``[i, j] = 1`` iff the arc (i, j) exists."""
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    a[g.arc_array[:, 0], g.arc_array[:, 1]] = 1
-    return a
 
 
 def _reaches_all(offsets: np.ndarray, heads: np.ndarray) -> bool:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from strongprod.apsp import bfs_distances, diameter, floyd_warshall
+from strongprod.apsp import UNREACHABLE, bfs_distances, diameter, floyd_warshall
 from strongprod.cli import main
 from strongprod.digraph import write_edge_list
 from strongprod.generate import (
@@ -249,7 +249,8 @@ def test_criterion_8_floyd_vs_bfs():
         g = random_digraph(rng, rng.randint(1, 10), rng.random())
         d = floyd_warshall(g)
         for source in range(g.n):
-            if d.entries[source] != bfs_distances(g, source):
+            bfs = bfs_distances(g, source)
+            if d.array[source].tolist() != [UNREACHABLE if e is None else e for e in bfs]:
                 mismatches += 1
     _report(8, "Floyd-Warshall rows equal BFS rows on 500 random digraphs",
             mismatches == 0)

@@ -54,11 +54,33 @@ class TestCheck:
         assert main(["check", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "line 4" in captured.err
+        assert captured.err == (
+            f"strongprod: error: {path}: line 4: expected 'u v', got '0 1 2'\n"
+        )
+
+    def test_invalid_digraph_names_file(self, graph_file, capsys):
+        path = graph_file("dup.el", None, text="2 2\n0 1\n0 1\n")
+        assert main(["check", path]) == 2
+        assert capsys.readouterr().err == (
+            f"strongprod: error: {path}: arc (0, 1) listed more than once\n"
+        )
+
+    def test_vertex_beyond_int64_exits_two(self, graph_file, capsys):
+        path = graph_file("big.el", None, text=f"3 1\n0 {2**63}\n")
+        assert main(["check", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"strongprod: error: {path}: arc (0, {2**63}) outside [0, 3)\n"
+        )
 
     def test_missing_file_exits_two(self, capsys):
+        # The OSError message names the path itself; no prefix is added.
         assert main(["check", "/nonexistent/graph.el"]) == 2
-        assert capsys.readouterr().err != ""
+        assert capsys.readouterr().err == (
+            "strongprod: error: [Errno 2] No such file or directory: "
+            "'/nonexistent/graph.el'\n"
+        )
 
     def test_non_utf8_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.el"
@@ -66,8 +88,10 @@ class TestCheck:
         assert main(["check", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("strongprod: error: ")
-        assert "0xff" in captured.err
+        assert captured.err == (
+            f"strongprod: error: {path}: 'utf-8' codec can't decode byte 0xff "
+            "in position 15: invalid start byte\n"
+        )
 
     def test_zero_vertex_file_exits_two(self, graph_file, capsys):
         path = graph_file("empty.el", None, text="0 0\n")
@@ -168,7 +192,24 @@ class TestProduct:
         assert main(["product", a, a, "--check-connected"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err == "strongprod: product is not strongly connected\n"
         assert main(["product", a, a]) == 0  # without the flag it still writes
+
+    def test_check_connected_passes_connected_factors(self, graph_file, capsys):
+        a = graph_file("c2.el", directed_cycle(2))
+        b = graph_file("c3.el", directed_cycle(3))
+        assert main(["product", a, b]) == 0
+        plain = capsys.readouterr().out
+        assert main(["product", a, b, "--check-connected"]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_size_limit_comes_before_connectivity(self, graph_file, capsys):
+        a = graph_file("p3.el", directed_path(3))
+        args = ["product", a, a, "--check-connected", "--max-product-vertices", "5"]
+        assert main(args) == 4
+        assert capsys.readouterr().err == (
+            "strongprod: error: product has 9 vertices, limit is 5\n"
+        )
 
     def test_one_file_is_usage_error(self, graph_file, capsys):
         a = graph_file("c2.el", directed_cycle(2))
@@ -259,7 +300,17 @@ class TestAvgdist:
         assert main(["avgdist", c3, str(bad)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("strongprod: error: ")
+        assert captured.err.startswith(f"strongprod: error: {bad}: 'utf-8' codec")
+
+    def test_malformed_factor_is_named(self, graph_file, capsys):
+        c3 = graph_file("c3.el", directed_cycle(3))
+        bad = graph_file("bad.el", None, text="# c\n3 2\n0 1\n0 1 2\n")
+        assert main(["avgdist", c3, bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"strongprod: error: {bad}: line 4: expected 'u v', got '0 1 2'\n"
+        )
 
     def test_single_vertex_factors_exit_two(self, graph_file, capsys):
         a = graph_file("k1.el", complete_digraph(1))

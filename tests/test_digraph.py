@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongprod.apsp import floyd_warshall
+from strongprod.apsp import UNREACHABLE, floyd_warshall
 from strongprod.digraph import (
     Digraph,
     EdgeListDocument,
-    adjacency_matrix,
+    _parse_arrays,
+    _parse_lines,
     build_digraph,
     is_strongly_connected,
     parse_edge_list,
@@ -19,6 +20,7 @@ from strongprod.errors import (
     ArcCountError,
     ArcLineError,
     DuplicateArcError,
+    EdgeListFormatError,
     EmptyGraphError,
     MalformedHeaderError,
     NegativeValueError,
@@ -30,21 +32,80 @@ from strongprod.generate import complete_digraph, directed_cycle, directed_path
 from .strategies import digraphs
 
 
+def _fields(doc):
+    """(n, m, arcs as lists of Python ints) of a parsed document."""
+    return doc.n, doc.m, [list(arc) for arc in doc.arcs]
+
+
 class TestParseEdgeList:
     def test_three_cycle(self):
         doc = parse_edge_list("3 3\n0 1\n1 2\n2 0")
-        assert doc == EdgeListDocument(3, 3, ((0, 1), (1, 2), (2, 0)))
+        assert _fields(doc) == (3, 3, [[0, 1], [1, 2], [2, 0]])
 
     def test_comments_and_blank_lines_skipped(self):
         doc = parse_edge_list("# cycle\n2 2\n0 1\n1 0")
         assert doc.n == 2
-        assert doc.arcs == ((0, 1), (1, 0))
+        assert doc.arcs.tolist() == [[0, 1], [1, 0]]
         doc = parse_edge_list("\n# a\n\n2 1\n\n0 1\n\n# b\n")
-        assert doc == EdgeListDocument(2, 1, ((0, 1),))
+        assert _fields(doc) == (2, 1, [[0, 1]])
 
     def test_tabs_and_extra_spaces(self):
         doc = parse_edge_list("2\t 2\n0\t1\n1   0\n")
-        assert doc.arcs == ((0, 1), (1, 0))
+        assert doc.arcs.tolist() == [[0, 1], [1, 0]]
+
+    @pytest.mark.parametrize("text", [
+        "3 3\n0 1\n1 2\n2 0\n",  # plain: the array route
+        "3 3\r\n0 1\r\n1 2\r\n2 0\r\n",  # the line scanner
+    ])
+    def test_arcs_are_a_read_only_int64_array(self, text):
+        arcs = parse_edge_list(text).arcs
+        assert arcs.dtype == np.int64 and arcs.shape == (3, 2)
+        assert not arcs.flags.writeable
+
+    def test_empty_arc_list(self):
+        for text in ("4 0", "4 0\n", "# c\n4 0\n\n  \n"):
+            arcs = parse_edge_list(text).arcs
+            assert arcs.shape == (0, 2) and arcs.dtype == np.int64
+
+    def test_vertex_beyond_int64_is_kept_exactly(self):
+        doc = parse_edge_list(f"3 1\n0 {2**63}\n")
+        assert _fields(doc) == (3, 1, [[0, 2**63]])
+        with pytest.raises(VertexRangeError, match=f"arc \\(0, {2**63}\\)"):
+            build_digraph(doc)
+
+    @pytest.mark.parametrize("text", [
+        "2 1\n0 1\n",
+        "# c\n\n2 1\n\n \t\n0\t 1",
+        "# caf\u00e9\n2 1\n0 1\n",
+        "# c\r\n2 1\r\n0 1\n",
+        "2 1\r0 1\n",
+        "2 1\n999999999999999999 0\n",
+        "#" * 5000 + "\n2 1\n0 1\n",
+    ])
+    def test_plain_bodies_take_the_array_route(self, text):
+        doc = _parse_arrays(text)
+        assert doc is not None
+        assert _fields(doc) == _fields(_parse_lines(text))
+
+    @pytest.mark.parametrize("text", [
+        "2 1\n# c\n0 1\n",
+        "2 1\n0 1\r\n",
+        "2 1\n+0 1\n",
+        "2 1\n0 1_0\n",
+        "2 1\n0 \u0661\n",
+        "2 1\n0\u00a01\n",
+        "2 1\n0 1000000000000000000\n",
+        "+2 1\n0 1\n",
+        "2 1\n0 1 2\n",
+        "2 1\n0\n1\n",
+        "2 2\n0 1\n",
+        "2 1\n0 1\n1 0\n",
+        "2 1\n0 -1\n",
+        "2 1\n0 x\n",
+        "",
+    ])
+    def test_other_text_goes_to_the_line_scanner(self, text):
+        assert _parse_arrays(text) is None
 
     def test_too_few_arcs(self):
         with pytest.raises(ArcCountError):
@@ -127,6 +188,13 @@ class TestBuildDigraph:
             Digraph(2, frozenset({(0, 5)}))
 
 
+def _dense(g):
+    """The (0,1) matrix with entry ``[i, j] = 1`` iff ``arc_array`` has the row (i, j)."""
+    a = np.zeros((g.n, g.n), dtype=np.int64)
+    a[g.arc_array[:, 0], g.arc_array[:, 1]] = 1
+    return a
+
+
 def _successors_by_definition(g):
     return tuple(tuple(sorted(v for u, v in g.arcs if u == x)) for x in range(g.n))
 
@@ -159,10 +227,15 @@ class TestDigraphValue:
     def test_derived_views_match_their_definitions(self, g):
         assert g.arcs == frozenset(map(tuple, g.arc_array.tolist()))
         assert g.successors == _successors_by_definition(g)
-        assert g.predecessors == _predecessors_by_definition(g)
-        for u in range(-1, g.n + 1):
-            for v in range(-1, g.n + 1):
-                assert g.has_arc(u, v) == ((u, v) in g.arcs)
+        offsets, tails = g._in_csr
+        bounds = offsets.tolist()
+        assert tuple(
+            tuple(tails[a:b].tolist()) for a, b in zip(bounds, bounds[1:])
+        ) == _predecessors_by_definition(g)
+        a = _dense(g)
+        for u in range(g.n):
+            for v in range(g.n):
+                assert (a[u, v] == 1) == ((u, v) in g.arcs)
 
     @given(digraphs(max_n=8), st.randoms(use_true_random=False))
     def test_order_and_repeats_do_not_matter(self, g, rng):
@@ -186,14 +259,14 @@ class TestDigraphValue:
 
 class TestAdjacencyMatrix:
     def test_three_cycle(self):
-        a = adjacency_matrix(directed_cycle(3))
+        a = _dense(directed_cycle(3))
         assert a.tolist() == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
 
     def test_complete_two(self):
-        assert adjacency_matrix(complete_digraph(2)).tolist() == [[0, 1], [1, 0]]
+        assert _dense(complete_digraph(2)).tolist() == [[0, 1], [1, 0]]
 
     def test_single_vertex(self):
-        assert adjacency_matrix(complete_digraph(1)).tolist() == [[0]]
+        assert _dense(complete_digraph(1)).tolist() == [[0]]
 
 
 class TestStrongConnectivity:
@@ -227,10 +300,11 @@ def test_write_parse_round_trip(g):
 
 @given(digraphs(max_n=8))
 def test_adjacency_row_and_column_sums_are_degrees(g):
-    a = adjacency_matrix(g)
+    a = _dense(g)
+    predecessors = _predecessors_by_definition(g)
     for u in range(g.n):
         assert a[u].sum() == len(g.successors[u])
-        assert a[:, u].sum() == len(g.predecessors[u])
+        assert a[:, u].sum() == len(predecessors[u])
     assert np.all(np.diag(a) == 0)
 
 
@@ -238,9 +312,84 @@ def test_adjacency_row_and_column_sums_are_degrees(g):
 def test_strong_connectivity_matches_distance_matrix(g):
     d = floyd_warshall(g)
     reachable = all(
-        d.entries[i][j] is not None
+        d.array[i, j] != UNREACHABLE
         for i in range(g.n)
         for j in range(g.n)
         if i != j
     )
     assert is_strongly_connected(g) == reachable
+
+
+# Pieces of edge-list text: plain lines, and every form the array parser
+# leaves to the line scanner.
+_NUMBERS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.integers(0, 10**19).map(str),
+    st.sampled_from(["007", "-1", "-0", "+3", "1_0", "\u0663", "x", "1.5",
+                     str(2**63), str(2**63 - 1), str(10**18), "9" * 18]),
+)
+_BLANKS = st.sampled_from([" ", "  ", "\t", " \t ", "\u00a0", "\u3000"])
+_BREAKS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0c", "\u2028"])
+
+
+@st.composite
+def _lines(draw):
+    """One line: 0 to 4 numbers, or a comment; with blanks around it."""
+    if draw(st.integers(0, 9)) == 0:
+        body = "# " + draw(st.text(max_size=8))
+    else:
+        count = draw(st.sampled_from([0, 1, 2, 2, 2, 2, 2, 3, 4]))
+        numbers = [draw(_NUMBERS) for _ in range(count)]
+        body = "".join(draw(_BLANKS) + x for x in numbers)[1:] if numbers else ""
+    lead = draw(st.sampled_from(["", "", " ", "\t"]))
+    trail = draw(st.sampled_from(["", "", " ", "\t"]))
+    return lead + body + trail
+
+
+@st.composite
+def edge_list_texts(draw):
+    """A header, arc lines and breaks, some plain and some not."""
+    plain = draw(st.booleans())
+    numbers = st.integers(0, 12).map(str) if plain else _NUMBERS
+    arc_lines = draw(st.lists(
+        st.tuples(numbers, numbers).map(" ".join) if plain else _lines(),
+        max_size=8,
+    ))
+    m = len(arc_lines) + draw(st.sampled_from([0, 0, 0, -1, 1]) if not plain else st.just(0))
+    header = f"{draw(numbers)} {max(m, 0)}" if draw(st.integers(0, 9)) else draw(_lines())
+    lead = draw(st.lists(st.sampled_from(["", "# c", "  ", "# caf\u00e9"]), max_size=2))
+    lines = [*lead, header, *arc_lines]
+    breaks = st.just("\n") if plain else _BREAKS
+    text = "".join(line + draw(breaks) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", _fields(parse(text))
+    except EdgeListFormatError as exc:
+        return type(exc), str(exc)
+
+
+@given(edge_list_texts())
+@settings(max_examples=400)
+def test_array_route_agrees_with_the_line_scanner(text):
+    """Same counts and arcs, or the same error type and message."""
+    outcome = _outcome(parse_edge_list, text)
+    assert outcome == _outcome(_parse_lines, text)
+    doc = _parse_arrays(text)
+    if doc is not None:
+        assert ("ok", _fields(doc)) == outcome
+        assert doc.arcs.dtype == np.int64
+    if outcome[0] == "ok":
+        n, _, arcs = outcome[1]
+        if 0 < n < 2**63 <= max((max(arc) for arc in arcs), default=0):
+            with pytest.raises(VertexRangeError):
+                build_digraph(parse_edge_list(text))
+
+
+@given(digraphs(max_n=12))
+def test_written_files_take_the_array_route(g):
+    doc = _parse_arrays(write_edge_list(g, comments=("c",)))
+    assert doc is not None
+    assert doc.arcs.tolist() == g.arc_array.tolist()

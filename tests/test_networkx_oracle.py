@@ -1,11 +1,11 @@
-"""Floyd-Warshall and the strong product against networkx, an oracle
-outside this package."""
+"""Floyd-Warshall, the strong product and its distances against networkx,
+an oracle outside this package."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongprod.apsp import floyd_warshall
+from strongprod.apsp import UNREACHABLE, floyd_warshall
 from strongprod.product import encode_label, strong_product_n
 
 from .strategies import digraphs
@@ -24,24 +24,33 @@ def _networkx_digraph(g):
 @settings(max_examples=150)
 def test_floyd_matches_networkx_shortest_path_lengths(g):
     lengths = dict(nx.all_pairs_shortest_path_length(_networkx_digraph(g)))
-    expected = tuple(
-        tuple(lengths[i].get(j) for j in range(g.n)) for i in range(g.n)
-    )
-    assert floyd_warshall(g).entries == expected
+    assert floyd_warshall(g).array.tolist() == _rows(lengths, range(g.n))
+
+
+def _rows(lengths, nodes):
+    """Distance rows over ``nodes`` in order, UNREACHABLE where there is no path."""
+    return [[lengths[u].get(v, UNREACHABLE) for v in nodes] for u in nodes]
+
+
+def _networkx_product(gs):
+    product = _networkx_digraph(gs[0])
+    for g in gs[1:]:
+        product = nx.strong_product(product, _networkx_digraph(g))
+    return product
 
 
 def _coords(node):
     """Factor coordinates of a nested networkx product node, ((a, b), c) -> a, b, c."""
+    if not isinstance(node, tuple):
+        return (node,)
     head, last = node
-    return (*_coords(head), last) if isinstance(head, tuple) else (head, last)
+    return (*_coords(head), last)
 
 
 @given(st.lists(digraphs(max_n=4), min_size=2, max_size=3))
 @settings(max_examples=150, deadline=None)
 def test_strong_product_matches_networkx(gs):
-    expected = _networkx_digraph(gs[0])
-    for g in gs[1:]:
-        expected = nx.strong_product(expected, _networkx_digraph(g))
+    expected = _networkx_product(gs)
     dims = [g.n for g in gs]
     product = strong_product_n(gs)
     assert product.n == expected.number_of_nodes()
@@ -49,3 +58,14 @@ def test_strong_product_matches_networkx(gs):
         (encode_label(_coords(u), dims), encode_label(_coords(v), dims))
         for u, v in expected.edges
     )
+
+
+@given(st.lists(digraphs(max_n=4), min_size=1, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_product_distances_match_networkx(gs):
+    expected = _networkx_product(gs)
+    lengths = dict(nx.all_pairs_shortest_path_length(expected))
+    dims = [g.n for g in gs]
+    # networkx nodes in product-vertex order: the row-major codec's order.
+    nodes = sorted(expected, key=lambda u: encode_label(_coords(u), dims))
+    assert floyd_warshall(strong_product_n(gs)).array.tolist() == _rows(lengths, nodes)

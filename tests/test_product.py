@@ -8,6 +8,7 @@ vertices with 56 arcs.
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strongprod.digraph import is_strongly_connected
 from strongprod.errors import (
@@ -125,6 +126,14 @@ def test_arc_count_identity(g1, g2):
 @settings(max_examples=60, deadline=None)
 def test_product_of_connected_factors_is_connected(g1, g2):
     assert is_strongly_connected(strong_product_n([g1, g2]))
+
+
+@given(st.lists(digraphs(max_n=5), min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_product_is_strongly_connected_iff_every_factor_is(gs):
+    # What `product --check-connected` decides from the factors alone.
+    assert is_strongly_connected(strong_product_n(gs)) == all(
+        map(is_strongly_connected, gs))
 
 
 @given(digraphs(max_n=5), digraphs(max_n=5))
