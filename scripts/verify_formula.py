@@ -10,7 +10,7 @@ import argparse
 import random
 import sys
 
-from strongprod.apsp import floyd_warshall
+from strongprod.apsp import all_pairs_distances
 from strongprod.generate import random_strongly_connected
 from strongprod.metrics import product_distance_n
 from strongprod.product import decode_label, strong_product_n
@@ -18,8 +18,8 @@ from strongprod.product import decode_label, strong_product_n
 
 def verify_tuple(rng: random.Random, orders: list[int]) -> tuple[int, int]:
     factors = [random_strongly_connected(rng, n) for n in orders]
-    ds = [floyd_warshall(g) for g in factors]
-    explicit = floyd_warshall(strong_product_n(factors))
+    ds = [all_pairs_distances(g) for g in factors]
+    explicit = all_pairs_distances(strong_product_n(factors))
     dims = [g.n for g in factors]
     coords = [decode_label(flat, dims) for flat in range(explicit.n)]
     checked = mismatched = 0

@@ -3,10 +3,10 @@
 from .apsp import (
     UNREACHABLE,
     DistanceMatrix,
+    all_pairs_distances,
     average_distance,
     bfs_distances,
     diameter,
-    floyd_warshall,
 )
 from .digraph import (
     Digraph,
@@ -39,6 +39,7 @@ __all__ = [
     "EdgeListDocument",
     "MetricsReport",
     "UNREACHABLE",
+    "all_pairs_distances",
     "average_distance",
     "average_distance_oracle_n",
     "average_distance_product_n",
@@ -47,7 +48,6 @@ __all__ = [
     "decode_label",
     "diameter",
     "encode_label",
-    "floyd_warshall",
     "is_strongly_connected",
     "load_digraph",
     "parse_edge_list",

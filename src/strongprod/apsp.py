@@ -1,8 +1,11 @@
 """All-pairs shortest paths and single-digraph distance statistics.
 
-``floyd_warshall`` is the production path; ``bfs_distances`` is a
-deliberately separate plain-Python implementation kept as its oracle:
-the two must agree exactly on every digraph, reachable or not.
+``all_pairs_distances`` is the production path: a breadth-first search
+from every source at once on packed bits, or Floyd-Warshall once the
+search has done as much work as Floyd-Warshall is estimated to need.
+``bfs_distances`` is a deliberately separate plain-Python implementation
+kept as their oracle: all must agree exactly on every digraph, reachable
+or not.
 """
 
 from __future__ import annotations
@@ -15,7 +18,11 @@ from functools import cached_property
 import numpy as np
 
 from .digraph import Digraph
-from .errors import NotStronglyConnectedError, OrderTooSmallError
+from .errors import (
+    DistanceMatrixTooLargeError,
+    NotStronglyConnectedError,
+    OrderTooSmallError,
+)
 
 # Marks an unreachable pair in ``DistanceMatrix.array``.
 UNREACHABLE = -1
@@ -114,16 +121,182 @@ def _relax(d: np.ndarray) -> None:
         np.minimum(d, through, out=d)
 
 
-def floyd_warshall(g: Digraph) -> DistanceMatrix:
+def all_pairs_distances(g: Digraph) -> DistanceMatrix:
     """All-pairs shortest directed path lengths of ``g``.
 
     Unreachable pairs come back as ``UNREACHABLE`` rather than raising;
-    downstream metrics decide whether that is an error.
+    downstream metrics decide whether that is an error. Raises
+    :class:`DistanceMatrixTooLargeError` when the matrix, or the work
+    arrays of either kernel, do not fit in memory.
     """
-    d = _initial_distances(g)
-    _relax(d)
-    d[d == _sentinel(d.dtype)] = UNREACHABLE
+    dtype = _kernel_dtype(g.n)
+    nbytes = g.n * g.n * dtype.itemsize
+    too_large = DistanceMatrixTooLargeError(
+        f"the {g.n} x {g.n} distance matrix ({nbytes} bytes) does not fit in memory"
+    )
+    if nbytes > np.iinfo(np.intp).max:
+        raise too_large
+    try:
+        # The matrix comes first: an order too large for it fails here,
+        # before any other array of n entries is made.
+        d = np.empty((g.n, g.n), dtype=dtype)
+        if not _bfs_fill(d, g, _bfs_level_budget(g.n, g.m)):
+            del d  # Floyd-Warshall allocates two matrices of its own
+            d = _initial_distances(g)
+            _relax(d)
+            d[d == _sentinel(d.dtype)] = UNREACHABLE
+    except MemoryError:
+        raise too_large from None
     return DistanceMatrix(d)
+
+
+# The work bound, in word operations: a BFS level costs (m + n) * words
+# plus _STEP_WORDS, Floyd-Warshall n**3 / _FLOYD_DIVISOR plus _STEP_WORDS
+# per pivot. Set from crossovers measured on a 2-vCPU x86-64 host; the
+# reasoning and the numbers are in CHANGES.md.
+_STEP_WORDS = 2048
+_FLOYD_DIVISOR = 16
+
+# Byte budget of the gather buffer, and of each block of assembled rows.
+_BUFFER_BYTES = 1 << 18
+
+# Bit s % 64 of word s // 64 stands for vertex s, little-endian, so the
+# words' bytes unpack in vertex order.
+_WORD = np.dtype("<u8")
+
+
+def _bfs_level_budget(n: int, m: int) -> int:
+    """Levels the packed BFS may run before Floyd-Warshall takes over.
+
+    The search gives up once its levels' work passes the estimate for
+    Floyd-Warshall, so an input that needs many levels over many arcs
+    costs less than twice Floyd-Warshall alone.
+    """
+    words = -(-n // 64)
+    floyd = n**3 // _FLOYD_DIVISOR + n * _STEP_WORDS
+    return floyd // ((m + n) * words + _STEP_WORDS)
+
+
+def _vertex_bits(v: np.ndarray) -> np.ndarray:
+    """Each vertex's own bit within its word."""
+    return np.left_shift(np.uint64(1), (v & 63).astype(np.uint64))
+
+
+def _all_but_self(v: np.ndarray, words: int) -> np.ndarray:
+    """Rows of packed vertex sets: every vertex except ``v[i]``.
+
+    Bits past the last vertex are set too; no level ever reaches them, and
+    the assembly does not read them.
+    """
+    rows = np.full((len(v), words), np.iinfo(np.uint64).max, dtype=_WORD)
+    rows[np.arange(len(v)), v >> 6] ^= _vertex_bits(v)
+    return rows
+
+
+def _gather_chunks(
+    offsets: np.ndarray, heads: np.ndarray, words: int
+) -> list[tuple[slice, np.ndarray, np.ndarray | None]]:
+    """Runs of tails whose arcs' head rows fit the gather buffer.
+
+    Each run is ``(tails, heads of their arcs, segment starts)`` and holds
+    one tail with arcs at least. Tails without arcs at the end of a run are
+    left out, so every segment start is in range. One inside a run gets
+    the next segment's first row; its rows of the unreached set are zero
+    while the search runs, which masks that out. The starts are None when
+    every tail of the run has one arc, as on a cycle: the gathered rows
+    are then the result, and ``reduceat``, which costs about as much per
+    segment as per row, is skipped.
+    """
+    n = len(offsets) - 1
+    per_chunk = max(1, _BUFFER_BYTES // (8 * words))
+    chunks = []
+    a = 0
+    while a < n:
+        fits = int(np.searchsorted(offsets, offsets[a] + per_chunk, side="right")) - 1
+        b = max(a + 1, fits)
+        lo, hi = int(offsets[a]), int(offsets[b])
+        if hi > lo:
+            last = int(np.searchsorted(offsets, hi))  # one past the last tail with arcs
+            starts = offsets[a:last] - lo
+            if (np.diff(offsets[a:last + 1]) == 1).all():
+                starts = None
+            chunks.append((slice(a, last), heads[lo:hi], starts))
+        a = b
+    return chunks
+
+
+def _bfs_fill(d: np.ndarray, g: Digraph, max_levels: int) -> bool:
+    """Fill ``d`` with the distances of ``g`` by one BFS from all sources at once.
+
+    Row v of each bit array is a packed set of targets. A level gathers
+    the frontier rows of v's out-neighbours, ORs each tail's segment with
+    one ``reduceat`` and keeps the targets v has not reached yet. Plane p
+    collects the targets first reached at a level whose bit p is set, so
+    the planes spell every distance in binary. Returns False, leaving
+    ``d`` unwritten, when the search would need more than ``max_levels``
+    levels; ``g.n`` levels always suffice.
+    """
+    n = g.n
+    words = -(-n // 64)
+    offsets = np.searchsorted(g.arc_array[:, 0], np.arange(n + 1))
+    sinks = np.flatnonzero(offsets[1:] == offsets[:-1])
+    v = np.arange(n)
+    frontier = np.zeros((n, words), dtype=_WORD)
+    frontier[v, v >> 6] = _vertex_bits(v)
+    unreached = _all_but_self(v, words)
+    unreached[sinks] = 0
+    new = np.empty_like(frontier)
+    chunks = _gather_chunks(offsets, g.arc_array[:, 1], words)
+    longest = max((len(h) for _, h, starts in chunks if starts is not None), default=0)
+    gathered = np.empty((longest, words), dtype=_WORD)
+    planes: list[np.ndarray] = []
+    level = 1
+    while True:
+        if level > max_levels:
+            return False
+        for tails, heads, starts in chunks:
+            if starts is None:
+                frontier.take(heads, axis=0, out=new[tails], mode="clip")
+                continue
+            rows = frontier.take(heads, axis=0, out=gathered[:len(heads)], mode="clip")
+            np.bitwise_or.reduceat(rows, starts, axis=0, out=new[tails])
+        np.bitwise_and(new, unreached, out=new)
+        if not np.count_nonzero(new):
+            break
+        # Over a run of levels with bit p set, the targets first reached
+        # are the unreached set at its start XOR the one at its end: XOR
+        # the unreached set into plane p wherever bit p flips. A run still
+        # open at the end leaves the pairs never reached in plane p too;
+        # the assembly writes those as UNREACHABLE whatever the planes hold.
+        flips = level ^ (level - 1)
+        if flips >> len(planes):
+            planes.append(np.zeros_like(new))
+        for p in range(flips.bit_length()):
+            np.bitwise_xor(planes[p], unreached, out=planes[p])
+        np.bitwise_xor(unreached, new, out=unreached)
+        frontier, new = new, frontier
+        level += 1
+    del frontier, new, gathered
+    unreached[sinks] = _all_but_self(sinks, words)
+    _assemble(d, unreached, planes)
+    return True
+
+
+def _assemble(d: np.ndarray, unreached: np.ndarray, planes: list[np.ndarray]) -> None:
+    """Write ``UNREACHABLE`` and the planes' distances into ``d``, by blocks of rows."""
+    n = d.shape[0]
+    block = max(1, _BUFFER_BYTES // (n * d.itemsize))
+    shifted = np.empty((min(block, n), n), dtype=d.dtype)
+    for r in range(0, n, block):
+        out = d[r:r + block]
+        bits = np.unpackbits(unreached[r:r + block].view(np.uint8), axis=1,
+                             count=n, bitorder="little")
+        np.negative(bits, out=out, dtype=d.dtype)
+        for p, plane in enumerate(planes):
+            bits = np.unpackbits(plane[r:r + block].view(np.uint8), axis=1,
+                                 count=n, bitorder="little")
+            np.left_shift(bits, p, out=shifted[:len(out)], dtype=d.dtype)
+            np.bitwise_or(out, shifted[:len(out)], out=out)
 
 
 def bfs_distances(g: Digraph, source: int) -> tuple[int | None, ...]:

@@ -5,7 +5,8 @@ standard error. Output is deterministic: identical inputs give
 byte-identical output.
 
 Exit codes: 0 success, 1 usage, 2 parse or validation failure,
-3 not strongly connected, 4 product size limit.
+3 not strongly connected, 4 size limit (the product's vertex limit, or a
+distance matrix too large for memory).
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .apsp import UNREACHABLE, floyd_warshall
+from .apsp import UNREACHABLE, all_pairs_distances
 from .digraph import Digraph, is_strongly_connected, load_digraph, write_edge_list
 from .errors import (
     DigraphValidationError,
+    DistanceMatrixTooLargeError,
     EdgeListFormatError,
     NotStronglyConnectedError,
     OrderTooSmallError,
@@ -34,7 +36,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID_INPUT = 2
 EXIT_NOT_STRONGLY_CONNECTED = 3
-EXIT_PRODUCT_TOO_LARGE = 4
+EXIT_SIZE_LIMIT = 4
 
 _JSON_COMPACT = {"separators": (",", ":")}
 
@@ -49,7 +51,8 @@ _EXIT_CODES = {
     OrderTooSmallError: EXIT_INVALID_INPUT,
     OSError: EXIT_INVALID_INPUT,
     NotStronglyConnectedError: EXIT_NOT_STRONGLY_CONNECTED,
-    ProductTooLargeError: EXIT_PRODUCT_TOO_LARGE,
+    ProductTooLargeError: EXIT_SIZE_LIMIT,
+    DistanceMatrixTooLargeError: EXIT_SIZE_LIMIT,
 }
 
 
@@ -126,7 +129,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_apsp(args: argparse.Namespace) -> int:
-    d = floyd_warshall(_load(args.paths[0]))
+    d = all_pairs_distances(_load(args.paths[0]))
     # Distances lie in [0, n); the extra last slot is where UNREACHABLE
     # (-1) indexes, so one lookup renders a whole row.
     tokens = np.array([*map(str, range(d.n)), None], dtype=object)

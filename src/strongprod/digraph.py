@@ -53,6 +53,9 @@ _POWERS = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 # many characters, before the whole text.
 _HEADER_PREFIX = 1024
 
+# Arcs are stored as int64, whatever the order.
+_VERTEX_LIMIT = 1 << 63
+
 # Largest order whose arc keys ``u * n + v`` fit in int64.
 _MAX_KEYED_ORDER = isqrt(np.iinfo(np.int64).max)
 
@@ -78,13 +81,16 @@ class Digraph:
             raise EmptyGraphError("digraph must have at least one vertex")
         rows = _arc_rows(self.arc_array)
         loop = rows[:, 0] == rows[:, 1]
-        bad = loop | ((rows < 0) | (rows >= self.n)).any(axis=1)
+        bad = loop | ((rows < 0) | (rows >= min(self.n, _VERTEX_LIMIT))).any(axis=1)
         if bad.any():
             i = int(bad.argmax())
             u, v = rows[i].tolist()
             if loop[i]:
                 raise SelfLoopError(f"self-loop at vertex {u}")
-            raise VertexRangeError(f"arc ({u}, {v}) outside [0, {self.n})")
+            if max(u, v) >= self.n:
+                raise VertexRangeError(f"arc ({u}, {v}) outside [0, {self.n})")
+            raise VertexRangeError(f"arc ({u}, {v}) outside [0, {_VERTEX_LIMIT}), "
+                                   "the vertices an arc can hold")
         key = np.sort(_row_keys(rows, self.n))
         # Keys are nonnegative, so the prepended -1 keeps the first one.
         key = key[np.diff(key, prepend=-1) != 0]

@@ -77,6 +77,10 @@ class ProductTooLargeError(StrongProdError):
     """An explicit product would exceed the configured vertex limit."""
 
 
+class DistanceMatrixTooLargeError(StrongProdError):
+    """A distance matrix, or the work arrays that compute it, do not fit in memory."""
+
+
 class EmptyFactorListError(StrongProdError):
     """A product of zero factors was requested."""
 

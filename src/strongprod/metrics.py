@@ -21,7 +21,7 @@ from math import prod
 
 import numpy as np
 
-from .apsp import DistanceMatrix, diameter, floyd_warshall
+from .apsp import DistanceMatrix, all_pairs_distances, diameter
 from .digraph import Digraph, is_strongly_connected
 from .errors import (
     ArityMismatchError,
@@ -178,7 +178,7 @@ def average_distance_product_n(
             gs, max_product_vertices=max_product_vertices
         )
     order = _check_factors(gs)
-    ds = [floyd_warshall(g) for g in gs]
+    ds = [all_pairs_distances(g) for g in gs]
     sigma = sigma_naive_n(ds) if method == "naive" else sigma_counting_n(ds)
     diam = max(diameter(d) for d in ds)
     return _report(gs, order, sigma, diam, method)
@@ -191,6 +191,6 @@ def average_distance_oracle_n(
     """Metrics via the explicit product: the end-to-end verification route."""
     order = _check_factors(gs)
     product = strong_product_n(gs, max_vertices=max_product_vertices)
-    d = floyd_warshall(product)
+    d = all_pairs_distances(product)
     sigma = int(d.finite_array().sum(dtype=np.int64))
     return _report(gs, order, sigma, diameter(d), "oracle")

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from strongprod.apsp import UNREACHABLE, bfs_distances, diameter, floyd_warshall
+from strongprod.apsp import UNREACHABLE, all_pairs_distances, bfs_distances, diameter
 from strongprod.cli import main
 from strongprod.digraph import write_edge_list
 from strongprod.generate import (
@@ -86,8 +86,8 @@ def test_criterion_2_binary_distance_formula(factor_pairs):
     case_counts = {"equal": 0, "first_larger": 0, "second_larger": 0}
 
     for g1, g2 in factor_pairs:
-        d1, d2 = floyd_warshall(g1), floyd_warshall(g2)
-        explicit = floyd_warshall(strong_product_n([g1, g2]))
+        d1, d2 = all_pairs_distances(g1), all_pairs_distances(g2)
+        explicit = all_pairs_distances(strong_product_n([g1, g2]))
         v2 = g2.n
         for u in range(explicit.n):
             x1, x2 = divmod(u, v2)
@@ -128,8 +128,8 @@ def test_criterion_3_nary_distance_formula():
         factors = [
             random_strongly_connected(rng, rng.randint(2, 4)) for _ in range(3)
         ]
-        ds = [floyd_warshall(g) for g in factors]
-        explicit = floyd_warshall(strong_product_n(factors))
+        ds = [all_pairs_distances(g) for g in factors]
+        explicit = all_pairs_distances(strong_product_n(factors))
         dims = [g.n for g in factors]
         coords = [
             (i, j, k)
@@ -180,8 +180,8 @@ def test_criterion_4_frozen_fixtures():
 def test_criterion_5_sigma_method_agreement(factor_pairs):
     disagreements = 0
     for g1, g2 in factor_pairs:
-        d1, d2 = floyd_warshall(g1), floyd_warshall(g2)
-        explicit = floyd_warshall(strong_product_n([g1, g2]))
+        d1, d2 = all_pairs_distances(g1), all_pairs_distances(g2)
+        explicit = all_pairs_distances(strong_product_n([g1, g2]))
         oracle_sigma = int(explicit.finite_array().sum())
         if not sigma_naive_n([d1, d2]) == sigma_counting_n([d1, d2]) == oracle_sigma:
             disagreements += 1
@@ -194,9 +194,9 @@ def test_criterion_6_diameter_identity(factor_pairs):
     violations = 0
     for g1, g2 in factor_pairs:
         expected = max(
-            diameter(floyd_warshall(g1)), diameter(floyd_warshall(g2))
+            diameter(all_pairs_distances(g1)), diameter(all_pairs_distances(g2))
         )
-        actual = diameter(floyd_warshall(strong_product_n([g1, g2])))
+        actual = diameter(all_pairs_distances(strong_product_n([g1, g2])))
         if actual != expected:
             violations += 1
     _report(6, "product diameter = max of factor diameters, 200 pairs",
@@ -247,7 +247,7 @@ def test_criterion_8_floyd_vs_bfs():
     mismatches = 0
     for _ in range(500):
         g = random_digraph(rng, rng.randint(1, 10), rng.random())
-        d = floyd_warshall(g)
+        d = all_pairs_distances(g)
         for source in range(g.n):
             bfs = bfs_distances(g, source)
             if d.array[source].tolist() != [UNREACHABLE if e is None else e for e in bfs]:

@@ -1,29 +1,42 @@
-"""Floyd-Warshall against its BFS oracle, plus diameter and mean distance.
+"""The APSP kernels against their BFS oracle, plus diameter and mean distance.
 
 Fixture matrices were first computed by exhaustive path enumeration on the
 small graphs before being frozen here.
 """
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import strongprod.apsp as apsp
 from strongprod.apsp import (
     UNREACHABLE,
     DistanceMatrix,
+    _bfs_fill,
     _initial_distances,
     _kernel_dtype,
     _relax,
     _sentinel,
+    all_pairs_distances,
     average_distance,
     bfs_distances,
     diameter,
-    floyd_warshall,
 )
-from strongprod.errors import NotStronglyConnectedError, OrderTooSmallError
-from strongprod.generate import complete_digraph, directed_cycle, directed_path
+from strongprod.digraph import Digraph
+from strongprod.errors import (
+    DistanceMatrixTooLargeError,
+    NotStronglyConnectedError,
+    OrderTooSmallError,
+)
+from strongprod.generate import (
+    complete_digraph,
+    directed_cycle,
+    directed_path,
+    random_digraph,
+)
 
 from .strategies import digraphs, strongly_connected_digraphs
 
@@ -33,18 +46,25 @@ def bfs_row(g, source):
     return [UNREACHABLE if e is None else e for e in bfs_distances(g, source)]
 
 
+def packed_bfs(g):
+    """The packed BFS kernel with no level bound (``g.n`` levels always suffice)."""
+    d = np.empty((g.n, g.n), dtype=_kernel_dtype(g.n))
+    assert _bfs_fill(d, g, g.n)
+    return d
+
+
 class TestFloydWarshall:
     def test_three_cycle(self):
-        d = floyd_warshall(directed_cycle(3))
+        d = all_pairs_distances(directed_cycle(3))
         assert d.array.tolist() == [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
 
     def test_path_has_unreachable(self):
-        d = floyd_warshall(directed_path(3))
+        d = all_pairs_distances(directed_path(3))
         assert d.entry(0, 2) == 2
         assert d.entry(2, 0) is None
 
     def test_complete_three(self):
-        d = floyd_warshall(complete_digraph(3))
+        d = all_pairs_distances(complete_digraph(3))
         assert all(
             d.entry(i, j) == (0 if i == j else 1)
             for i in range(3)
@@ -52,22 +72,22 @@ class TestFloydWarshall:
         )
 
     def test_single_vertex(self):
-        assert floyd_warshall(complete_digraph(1)).array.tolist() == [[0]]
+        assert all_pairs_distances(complete_digraph(1)).array.tolist() == [[0]]
 
 
 class TestDistanceMatrixValue:
     def test_equal_matrices_compare_and_hash_equal(self):
-        a, b = floyd_warshall(directed_cycle(4)), floyd_warshall(directed_cycle(4))
+        a, b = all_pairs_distances(directed_cycle(4)), all_pairs_distances(directed_cycle(4))
         assert a == b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
     def test_different_matrices_differ(self):
-        assert floyd_warshall(directed_cycle(4)) != floyd_warshall(directed_path(4))
-        assert floyd_warshall(directed_cycle(3)) != floyd_warshall(directed_cycle(4))
+        assert all_pairs_distances(directed_cycle(4)) != all_pairs_distances(directed_path(4))
+        assert all_pairs_distances(directed_cycle(3)) != all_pairs_distances(directed_cycle(4))
 
     def test_array_is_read_only(self):
-        d = floyd_warshall(directed_path(3))
+        d = all_pairs_distances(directed_path(3))
         assert d.array[2, 0] == UNREACHABLE
         with pytest.raises(ValueError):
             d.array[2, 0] = 1
@@ -75,17 +95,17 @@ class TestDistanceMatrixValue:
 
     def test_from_nested_lists(self):
         d = DistanceMatrix([[0, 1], [UNREACHABLE, 0]])
-        assert d == floyd_warshall(directed_path(2))
+        assert d == all_pairs_distances(directed_path(2))
         assert d.entry(1, 0) is None
 
     def test_finite_array_is_the_array_itself(self):
-        d = floyd_warshall(directed_cycle(3))
+        d = all_pairs_distances(directed_cycle(3))
         assert d.finite_array() is d.array
         assert not d.finite_array().flags.writeable
 
     def test_finite_array_names_the_first_unreachable_pair(self):
         # Row-major order: (1, 0) comes before (2, 0) and (2, 1).
-        d = floyd_warshall(directed_path(3))
+        d = all_pairs_distances(directed_path(3))
         with pytest.raises(NotStronglyConnectedError, match="from 1 to 0$"):
             d.finite_array()
 
@@ -118,7 +138,7 @@ class TestKernelDtype:
     @pytest.mark.parametrize("family", [directed_path, directed_cycle])
     def test_maximal_distances_match_bfs(self, family):
         g = family(300)
-        d = floyd_warshall(g)
+        d = all_pairs_distances(g)
         assert d.array.dtype == np.int16
         assert int(d.array.max()) == g.n - 1
         for source in range(g.n):
@@ -142,46 +162,46 @@ class TestBfsDistances:
 
 class TestDiameter:
     def test_three_cycle(self):
-        assert diameter(floyd_warshall(directed_cycle(3))) == 2
+        assert diameter(all_pairs_distances(directed_cycle(3))) == 2
 
     def test_complete_three(self):
-        assert diameter(floyd_warshall(complete_digraph(3))) == 1
+        assert diameter(all_pairs_distances(complete_digraph(3))) == 1
 
     def test_path_raises(self):
         with pytest.raises(NotStronglyConnectedError):
-            diameter(floyd_warshall(directed_path(3)))
+            diameter(all_pairs_distances(directed_path(3)))
 
     def test_single_vertex(self):
-        assert diameter(floyd_warshall(complete_digraph(1))) == 0
+        assert diameter(all_pairs_distances(complete_digraph(1))) == 0
 
 
 class TestAverageDistance:
     def test_three_cycle(self):
-        assert average_distance(floyd_warshall(directed_cycle(3))) == Fraction(3, 2)
+        assert average_distance(all_pairs_distances(directed_cycle(3))) == Fraction(3, 2)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_complete_digraphs_average_one(self, n):
-        assert average_distance(floyd_warshall(complete_digraph(n))) == 1
+        assert average_distance(all_pairs_distances(complete_digraph(n))) == 1
 
     def test_path_raises(self):
         with pytest.raises(NotStronglyConnectedError):
-            average_distance(floyd_warshall(directed_path(3)))
+            average_distance(all_pairs_distances(directed_path(3)))
 
     def test_single_vertex_raises(self):
         with pytest.raises(OrderTooSmallError):
-            average_distance(floyd_warshall(complete_digraph(1)))
+            average_distance(all_pairs_distances(complete_digraph(1)))
 
 
 @given(digraphs(max_n=10))
 def test_floyd_matches_bfs_everywhere(g):
-    d = floyd_warshall(g)
+    d = all_pairs_distances(g)
     for source in range(g.n):
         assert d.array[source].tolist() == bfs_row(g, source)
 
 
 @given(digraphs(max_n=8))
 def test_entry_bounds_and_arc_distances(g):
-    d = floyd_warshall(g)
+    d = all_pairs_distances(g)
     for i in range(g.n):
         assert d.entry(i, i) == 0
         for j in range(g.n):
@@ -194,7 +214,7 @@ def test_entry_bounds_and_arc_distances(g):
 
 @given(digraphs(max_n=7))
 def test_triangle_inequality(g):
-    d = floyd_warshall(g)
+    d = all_pairs_distances(g)
     for i in range(g.n):
         for j in range(g.n):
             for k in range(g.n):
@@ -215,7 +235,7 @@ def test_relaxation_is_idempotent(g):
 @given(strongly_connected_digraphs(max_n=8))
 @settings(max_examples=60)
 def test_average_distance_at_least_one(g):
-    mu = average_distance(floyd_warshall(g))
+    mu = average_distance(all_pairs_distances(g))
     assert mu >= 1
     if g.m == g.n * (g.n - 1):
         assert mu == 1
@@ -225,4 +245,94 @@ def test_average_distance_at_least_one(g):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_average_one_exactly_for_complete(n):
-    assert average_distance(floyd_warshall(complete_digraph(n))) == 1
+    assert average_distance(all_pairs_distances(complete_digraph(n))) == 1
+
+
+def _with_source(g):
+    """``g`` without the arcs into vertex 0, which then reaches but is never reached."""
+    return Digraph(g.n, g.arc_array[g.arc_array[:, 1] != 0])
+
+
+def _two_cycles(n):
+    """Two disjoint directed cycles; unconnected from n = 4 on."""
+    h = n // 2
+    arcs = [(i, (i + 1) % h) for i in range(h)] if h > 1 else []
+    arcs += [(h + i, h + (i + 1) % (n - h)) for i in range(n - h)] if n - h > 1 else []
+    return Digraph(n, arcs)
+
+
+def _family(name, n):
+    rng = random.Random(n)
+    return {
+        "cycle": lambda: directed_cycle(n) if n > 1 else complete_digraph(1),
+        "path": lambda: directed_path(n),
+        "sparse": lambda: random_digraph(rng, n, min(1.0, 2 / n)),
+        "dense": lambda: random_digraph(rng, n, 0.3),
+        "edgeless": lambda: Digraph(n, ()),
+        "source": lambda: _with_source(random_digraph(rng, n, min(1.0, 3 / n))),
+        "two_cycles": lambda: _two_cycles(n),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", [
+    "cycle", "path", "sparse", "dense", "edgeless", "source", "two_cycles",
+])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 300])
+def test_packed_bfs_matches_bfs_across_word_boundaries(name, n):
+    g = _family(name, n)
+    d = packed_bfs(g)
+    assert d.dtype == _kernel_dtype(n) and d.flags.c_contiguous
+    for source in range(n):
+        assert d[source].tolist() == bfs_row(g, source)
+
+
+@pytest.mark.parametrize("buffer_bytes", [1, 200, 1000])
+@pytest.mark.parametrize("name", ["sparse", "dense", "source", "two_cycles"])
+def test_packed_bfs_in_small_buffers(name, buffer_bytes, monkeypatch):
+    # One tail per gather chunk, or a few, chunks that end in tails without
+    # arcs, and blocks of one or a few assembled rows.
+    g = _family(name, 129)
+    expected = packed_bfs(g)
+    monkeypatch.setattr(apsp, "_BUFFER_BYTES", buffer_bytes)
+    assert np.array_equal(packed_bfs(g), expected)
+
+
+@given(digraphs(max_n=12))
+def test_packed_bfs_matches_bfs_everywhere(g):
+    d = packed_bfs(g)
+    for source in range(g.n):
+        assert d[source].tolist() == bfs_row(g, source)
+
+
+def _half_clique_and_path(n):
+    """A complete digraph on half the vertices, a path through the rest back
+    to vertex 0: many arcs and a diameter of about n / 2."""
+    h = n // 2
+    arcs = [(u, v) for u in range(h) for v in range(h) if u != v]
+    arcs += [(v, v + 1) for v in range(h - 1, n - 1)] + [(n - 1, 0)]
+    return Digraph(n, arcs)
+
+
+@pytest.mark.parametrize("g, floyd_runs", [
+    (_half_clique_and_path(200), 1),
+    (directed_cycle(200), 0),
+    (_family("dense", 129), 0),
+])
+def test_floyd_warshall_runs_only_past_the_work_bound(g, floyd_runs, monkeypatch):
+    calls = []
+
+    def counting_relax(d):
+        calls.append(d.shape)
+        _relax(d)
+
+    monkeypatch.setattr(apsp, "_relax", counting_relax)
+    d = all_pairs_distances(g)
+    assert len(calls) == floyd_runs
+    assert d.array.dtype == _kernel_dtype(g.n) and d.array.flags.c_contiguous
+    assert np.array_equal(d.array, packed_bfs(g))
+
+
+def test_an_order_past_numpy_sizes_is_named():
+    g = Digraph(5_000_000_000, [(0, 4_999_999_999)])
+    with pytest.raises(DistanceMatrixTooLargeError, match="5000000000 x 5000000000"):
+        all_pairs_distances(g)

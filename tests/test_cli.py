@@ -17,6 +17,9 @@ from strongprod.product import strong_product_n
 # A huge declared order with one arc: too few arcs to be strongly connected.
 HUGE_ORDER_TEXT = "5000000000 1\n0 4999999999\n"
 
+# An order of 2**63 or more, and an arc on a vertex of 2**63.
+BEYOND_INT64_TEXT = f"{10**19} 1\n0 {2**63}\n"
+
 # A 3-cycle whose last line ends in a byte that is not UTF-8.
 NON_UTF8_BYTES = b"3 3\n0 1\n1 2\n2 0\xff\n"
 
@@ -72,6 +75,18 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == (
             f"strongprod: error: {path}: arc (0, {2**63}) outside [0, 3)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["check", "apsp"])
+    def test_vertex_beyond_int64_under_a_larger_order_exits_two(
+            self, graph_file, capsys, command):
+        path = graph_file("big.el", None, text=BEYOND_INT64_TEXT)
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"strongprod: error: {path}: arc (0, 9223372036854775808) outside "
+            "[0, 9223372036854775808), the vertices an arc can hold\n"
         )
 
     def test_missing_file_exits_two(self, capsys):
@@ -136,6 +151,23 @@ class TestApsp:
         path = graph_file("p2.el", directed_path(2))
         assert main(["apsp", path, "--format", "json"]) == 0
         assert capsys.readouterr().out == "[[0,1],[null,0]]\n"
+
+    @pytest.mark.parametrize("text, order, nbytes", [
+        (HUGE_ORDER_TEXT, 5000000000, 100000000000000000000),
+        ("30000 0\n", 30000, 3600000000),
+    ])
+    def test_matrix_too_large_for_memory_exits_four(
+            self, graph_file, text, order, nbytes):
+        # The child caps its own address space at 2 GiB, below the 3.6 GB
+        # that the second matrix needs.
+        path = graph_file("big.el", None, text=text)
+        done = _run_cli_limited(["apsp", path], 2 << 30)
+        assert done.returncode == 4, done.stderr
+        assert done.stdout == ""
+        assert done.stderr == (
+            f"strongprod: error: the {order} x {order} distance matrix "
+            f"({nbytes} bytes) does not fit in memory\n"
+        )
 
 
 class TestProduct:
@@ -343,11 +375,37 @@ class TestUsage:
         assert main(["--help"]) == 0
 
 
+def _child_env():
+    """The environment with this checkout's ``src`` first on the import path."""
+    src = str(Path(strongprod.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def _run_cli_limited(argv, address_space):
+    """Run the CLI in a child that first caps its own address space."""
+    limit = (address_space, address_space)
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, {limit})\n"
+            "from strongprod.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=_child_env(), timeout=120)
+
+
+def test_importing_the_cli_loads_no_scipy_or_networkx():
+    code = ("import sys, strongprod.cli\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.partition('.')[0] in ('scipy', 'networkx')))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_python_dash_m_runs_the_cli(graph_file):
     path = graph_file("p3.el", directed_path(3))
-    src = str(Path(strongprod.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = _child_env()
     for module in ("strongprod", "strongprod.cli"):
         done = subprocess.run([sys.executable, "-m", module, "check", path],
                               capture_output=True, text=True, env=env, timeout=60)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongprod.apsp import UNREACHABLE, floyd_warshall
+from strongprod.apsp import UNREACHABLE, all_pairs_distances
 from strongprod.digraph import (
     Digraph,
     EdgeListDocument,
@@ -310,7 +310,7 @@ def test_adjacency_row_and_column_sums_are_degrees(g):
 
 @given(digraphs(max_n=8))
 def test_strong_connectivity_matches_distance_matrix(g):
-    d = floyd_warshall(g)
+    d = all_pairs_distances(g)
     reachable = all(
         d.array[i, j] != UNREACHABLE
         for i in range(g.n)

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strongprod.apsp import average_distance, diameter, floyd_warshall
+from strongprod.apsp import all_pairs_distances, average_distance, diameter
 from strongprod.digraph import Digraph
 from strongprod.errors import (
     ArityMismatchError,
@@ -31,10 +31,10 @@ from strongprod.product import strong_product_n
 
 from .strategies import strongly_connected_digraphs
 
-D_C2 = floyd_warshall(directed_cycle(2))
-D_C3 = floyd_warshall(directed_cycle(3))
-D_K1 = floyd_warshall(complete_digraph(1))
-D_PATH = floyd_warshall(directed_path(3))
+D_C2 = all_pairs_distances(directed_cycle(2))
+D_C3 = all_pairs_distances(directed_cycle(3))
+D_K1 = all_pairs_distances(complete_digraph(1))
+D_PATH = all_pairs_distances(directed_path(3))
 
 
 class TestProductDistance:
@@ -73,7 +73,7 @@ class TestProductDistanceN:
         # factor distances (2, 1, 1) in C3, C3, C2 must give 2
         ds = [D_C3, D_C3, D_C2]
         assert product_distance_n(ds, (0, 0, 0), (2, 1, 1)) == 2
-        explicit = floyd_warshall(
+        explicit = all_pairs_distances(
             strong_product_n(
                 [directed_cycle(3), directed_cycle(3), directed_cycle(2)]
             )
@@ -128,7 +128,7 @@ class TestSigma:
 @given(strongly_connected_digraphs(max_n=6), strongly_connected_digraphs(max_n=6))
 @settings(max_examples=60, deadline=None)
 def test_sigma_methods_agree_and_are_symmetric(g1, g2):
-    d1, d2 = floyd_warshall(g1), floyd_warshall(g2)
+    d1, d2 = all_pairs_distances(g1), all_pairs_distances(g2)
     naive = sigma_naive_n([d1, d2])
     assert sigma_counting_n([d1, d2]) == naive
     assert sigma_counting_n([d2, d1]) == naive
@@ -138,8 +138,8 @@ def test_sigma_methods_agree_and_are_symmetric(g1, g2):
 @given(st.lists(strongly_connected_digraphs(max_n=4), min_size=1, max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_nary_sigma_matches_explicit_product(gs):
-    ds = [floyd_warshall(g) for g in gs]
-    explicit = floyd_warshall(strong_product_n(gs))
+    ds = [all_pairs_distances(g) for g in gs]
+    explicit = all_pairs_distances(strong_product_n(gs))
     expected = int(explicit.finite_array().sum())
     assert sigma_counting_n(ds) == expected
     assert sigma_naive_n(ds) == expected
@@ -148,8 +148,8 @@ def test_nary_sigma_matches_explicit_product(gs):
 @given(strongly_connected_digraphs(max_n=5), strongly_connected_digraphs(max_n=5))
 @settings(max_examples=60, deadline=None)
 def test_binary_formula_matches_explicit_product(g1, g2):
-    d1, d2 = floyd_warshall(g1), floyd_warshall(g2)
-    explicit = floyd_warshall(strong_product_n([g1, g2]))
+    d1, d2 = all_pairs_distances(g1), all_pairs_distances(g2)
+    explicit = all_pairs_distances(strong_product_n([g1, g2]))
     for x1 in range(g1.n):
         for x2 in range(g2.n):
             for y1 in range(g1.n):
@@ -275,8 +275,8 @@ def test_report_invariants_and_route_agreement(g1, g2):
 @settings(max_examples=50, deadline=None)
 def test_diameter_is_max_of_factor_diameters(g1, g2):
     report = average_distance_oracle_n([g1, g2])
-    d1 = diameter(floyd_warshall(g1))
-    d2 = diameter(floyd_warshall(g2))
+    d1 = diameter(all_pairs_distances(g1))
+    d2 = diameter(all_pairs_distances(g2))
     assert report.diameter == max(d1, d2)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongprod.apsp import UNREACHABLE, floyd_warshall
+from strongprod.apsp import UNREACHABLE, all_pairs_distances
 from strongprod.product import encode_label, strong_product_n
 
 from .strategies import digraphs
@@ -24,7 +24,7 @@ def _networkx_digraph(g):
 @settings(max_examples=150)
 def test_floyd_matches_networkx_shortest_path_lengths(g):
     lengths = dict(nx.all_pairs_shortest_path_length(_networkx_digraph(g)))
-    assert floyd_warshall(g).array.tolist() == _rows(lengths, range(g.n))
+    assert all_pairs_distances(g).array.tolist() == _rows(lengths, range(g.n))
 
 
 def _rows(lengths, nodes):
@@ -68,4 +68,4 @@ def test_product_distances_match_networkx(gs):
     dims = [g.n for g in gs]
     # networkx nodes in product-vertex order: the row-major codec's order.
     nodes = sorted(expected, key=lambda u: encode_label(_coords(u), dims))
-    assert floyd_warshall(strong_product_n(gs)).array.tolist() == _rows(lengths, nodes)
+    assert all_pairs_distances(strong_product_n(gs)).array.tolist() == _rows(lengths, nodes)
