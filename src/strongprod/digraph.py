@@ -65,12 +65,12 @@ class Digraph:
     """Simple digraph on ``n`` vertices with its arcs in one read-only array.
 
     ``arc_array`` is an ``(m, 2)`` int64 array of ``(tail, head)`` rows,
-    sorted lexicographically without repeats. The constructor takes any
-    iterable of pairs or an integer array, in any order and with repeats,
-    and validates the simplicity invariants: at least one vertex, endpoints
-    in ``[0, n)``, no self-loops. The first offending pair in the order
-    given is reported. Duplicate detection belongs to :func:`build_digraph`,
-    where input order still exists. Equal digraphs compare and hash equal.
+    sorted lexicographically. The constructor takes any iterable of pairs
+    or an integer array, in any order, each pair at most once, and checks
+    it in one pass: at least one vertex, endpoints in ``[0, n)``, no
+    self-loops, no repeats. Of several faults the first pair in the order
+    given is reported, and of one pair's own faults a self-loop before a
+    range error. Equal digraphs compare and hash equal.
     """
 
     n: int
@@ -80,20 +80,30 @@ class Digraph:
         if self.n < 1:
             raise EmptyGraphError("digraph must have at least one vertex")
         rows = _arc_rows(self.arc_array)
+        # Screen the whole array; locate the first faulty row only if there is one.
+        limit = min(self.n, _VERTEX_LIMIT)
         loop = rows[:, 0] == rows[:, 1]
-        bad = loop | ((rows < 0) | (rows >= min(self.n, _VERTEX_LIMIT))).any(axis=1)
-        if bad.any():
-            i = int(bad.argmax())
-            u, v = rows[i].tolist()
-            if loop[i]:
+        good = len(rows)
+        if loop.any() or rows.min(initial=0) < 0 or rows.max(initial=0) >= limit:
+            bad = loop | ((rows < 0) | (rows >= limit)).any(axis=1)
+            good = int(bad.argmax())
+        # Keys of rows in range are one-to-one, so before the first faulty
+        # row an equal neighbour among the sorted keys is a repeated pair.
+        key = np.sort(_row_keys(rows[:good], self.n))
+        if (key[1:] == key[:-1]).any():
+            seen = set()
+            for u, v in rows[:good].tolist():
+                if (u, v) in seen:
+                    raise DuplicateArcError(f"arc ({u}, {v}) listed more than once")
+                seen.add((u, v))
+        if good < len(rows):
+            u, v = rows[good].tolist()
+            if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
             if max(u, v) >= self.n:
                 raise VertexRangeError(f"arc ({u}, {v}) outside [0, {self.n})")
             raise VertexRangeError(f"arc ({u}, {v}) outside [0, {_VERTEX_LIMIT}), "
                                    "the vertices an arc can hold")
-        key = np.sort(_row_keys(rows, self.n))
-        # Keys are nonnegative, so the prepended -1 keeps the first one.
-        key = key[np.diff(key, prepend=-1) != 0]
         rows = np.stack([key // self.n, key % self.n], axis=1)
         rows = rows.astype(np.int64, copy=False)
         rows.flags.writeable = False
@@ -111,10 +121,6 @@ class Digraph:
 
     def __hash__(self) -> int:
         return hash((self.n, self.arc_array.tobytes()))
-
-    @cached_property
-    def arcs(self) -> frozenset[tuple[int, int]]:
-        return frozenset(map(tuple, self.arc_array.tolist()))
 
     @cached_property
     def _out_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -155,8 +161,9 @@ def _arc_rows(arcs) -> np.ndarray:
 
 def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
     """``u * n + v`` per row: ordered as the rows, one-to-one on rows in ``[0, n)``."""
-    if n > _MAX_KEYED_ORDER:
-        rows = rows.astype(object)  # Python integers; int64 would wrap
+    # Python integers past the keyed order, where int64 would wrap; below
+    # it int64, since a narrower input dtype would wrap.
+    rows = rows.astype(object if n > _MAX_KEYED_ORDER else np.int64, copy=False)
     return rows[:, 0] * n + rows[:, 1]
 
 
@@ -311,34 +318,8 @@ def _parse_lines(text: str) -> EdgeListDocument:
 
 
 def build_digraph(doc: EdgeListDocument) -> Digraph:
-    """Validate a parsed document into a :class:`Digraph`.
-
-    The constructor checks each arc; this adds that no arc is listed twice.
-    Of several faults the first arc in file order is reported, and of an
-    arc's own faults a self-loop before a range error.
-    """
-    rows = _arc_rows(doc.arcs)
-    repeat = _first_repeat(rows, doc.n)
-    # The constructor checks every arc up to the repeat first. Keys of
-    # distinct rows collide only when one is out of range, and that row is
-    # then among the ones checked.
-    g = Digraph(doc.n, rows if repeat is None else rows[:repeat + 1])
-    if repeat is not None:
-        u, v = rows[repeat].tolist()
-        raise DuplicateArcError(f"arc ({u}, {v}) listed more than once")
-    return g
-
-
-def _first_repeat(rows: np.ndarray, n: int) -> int | None:
-    """Index of the first row whose key an earlier row has, if any."""
-    key = _row_keys(rows, n)
-    ordered = np.sort(key)
-    if not (ordered[1:] == ordered[:-1]).any():
-        return None
-    _, first = np.unique(key, return_index=True)
-    repeated = np.ones(len(key), dtype=bool)
-    repeated[first] = False
-    return int(repeated.argmax())
+    """Validate a parsed document into a :class:`Digraph`, which checks its arcs."""
+    return Digraph(doc.n, doc.arcs)
 
 
 def load_digraph(path: str | Path) -> Digraph:

@@ -74,7 +74,7 @@ class OrderTooSmallError(StrongProdError):
 
 
 class ProductTooLargeError(StrongProdError):
-    """An explicit product would exceed the configured vertex limit."""
+    """An explicit product would exceed the vertex limit, or not fit in memory."""
 
 
 class DistanceMatrixTooLargeError(StrongProdError):

@@ -63,7 +63,7 @@ def product_distance_n(
 ) -> int:
     """Distance between two coordinate tuples of an n-fold product."""
     if not ds:
-        raise ArityMismatchError("need at least one factor")
+        raise EmptyFactorListError("need at least one factor")
     if not (len(ds) == len(xs) == len(ys)):
         raise ArityMismatchError(
             f"{len(ds)} factors, {len(xs)} source and {len(ys)} target coordinates"
@@ -95,7 +95,7 @@ def sigma_naive_n(ds: Sequence[DistanceMatrix]) -> int:
     entries.
     """
     if not ds:
-        raise ArityMismatchError("need at least one factor")
+        raise EmptyFactorListError("need at least one factor")
     return _sigma_naive_flats([d.finite_array().ravel() for d in ds])
 
 
@@ -109,7 +109,7 @@ def sigma_counting_n(ds: Sequence[DistanceMatrix]) -> int:
     largest diameter D. The counts are Python ints, so sigma never wraps.
     """
     if not ds:
-        raise ArityMismatchError("need at least one factor")
+        raise EmptyFactorListError("need at least one factor")
     counts = [np.bincount(d.finite_array().ravel()) for d in ds]
     size = max(len(c) for c in counts)
     cdfs = [np.cumsum(np.pad(c, (0, size - len(c)))).tolist() for c in counts]

@@ -60,7 +60,9 @@ def strong_product_n(
     Each factor either stays on its vertex or steps along one of its arcs,
     and every combination of those moves but the all-stay ones is an arc.
     Combining the factors' move lists under the row-major codec lists each
-    arc once: ``prod(n_i + m_i) - prod(n_i)`` arcs in all.
+    arc once: ``prod(n_i + m_i) - prod(n_i)`` arcs in all. Raises
+    :class:`ProductTooLargeError` past ``max_vertices``, or when the moves
+    do not fit in memory.
     """
     if not gs:
         raise EmptyFactorListError("need at least one factor")
@@ -69,12 +71,21 @@ def strong_product_n(
         raise ProductTooLargeError(
             f"product has {n} vertices, limit is {max_vertices}"
         )
-    tails = heads = np.zeros(1, dtype=np.int64)
-    for g in gs:
-        stay = np.arange(g.n, dtype=np.int64)
-        tails = np.add.outer(tails * g.n, np.concatenate([g.arc_array[:, 0], stay]))
-        heads = np.add.outer(heads * g.n, np.concatenate([g.arc_array[:, 1], stay]))
-        tails, heads = tails.ravel(), heads.ravel()
-    # Factors have no self-loops, so only the all-stay moves keep tail = head.
-    moves = tails != heads
-    return Digraph(n, np.stack([tails[moves], heads[moves]], axis=1))
+    moves = prod(g.n + g.m for g in gs)
+    too_large = ProductTooLargeError(
+        f"product has {n} vertices and {moves - n} arcs, too many for memory"
+    )
+    if moves * np.dtype(np.int64).itemsize > np.iinfo(np.intp).max:
+        raise too_large
+    try:
+        tails = heads = np.zeros(1, dtype=np.int64)
+        for g in gs:
+            stay = np.arange(g.n, dtype=np.int64)
+            tails = np.add.outer(tails * g.n, np.concatenate([g.arc_array[:, 0], stay]))
+            heads = np.add.outer(heads * g.n, np.concatenate([g.arc_array[:, 1], stay]))
+            tails, heads = tails.ravel(), heads.ravel()
+        # Factors have no self-loops, so only the all-stay moves keep tail = head.
+        keep = tails != heads
+        return Digraph(n, np.stack([tails[keep], heads[keep]], axis=1))
+    except MemoryError:
+        raise too_large from None

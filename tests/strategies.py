@@ -5,6 +5,11 @@ import hypothesis.strategies as st
 from strongprod.digraph import Digraph
 
 
+def arc_set(g: Digraph) -> frozenset[tuple[int, int]]:
+    """The arcs of ``g`` as a set of ``(tail, head)`` pairs."""
+    return frozenset(map(tuple, g.arc_array.tolist()))
+
+
 def _ordered_pairs(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(n) if u != v]
 

@@ -393,6 +393,27 @@ def _run_cli_limited(argv, address_space):
                           text=True, env=_child_env(), timeout=120)
 
 
+# Two complete K141 factors fit the default vertex cap, but their 19881**2
+# moves need 3.2 GB per array, above the child's 2 GiB.
+_K141_MESSAGE = "product has 19881 vertices and 395234280 arcs, too many for memory"
+
+
+@pytest.mark.parametrize("argv, huge, message", [
+    (["product"], False, _K141_MESSAGE),
+    (["avgdist", "--method", "oracle"], False, _K141_MESSAGE),
+    # 25 * 10**18 moves of 8 bytes each: more than numpy can address.
+    (["product", "--max-product-vertices", str(10**30)], True,
+     "product has 25000000000000000000 vertices and 0 arcs, too many for memory"),
+], ids=["product", "oracle", "product-past-intp"])
+def test_product_too_large_for_memory_exits_four(graph_file, argv, huge, message):
+    path = graph_file("big.el", complete_digraph(141),
+                      text="5000000000 0\n" if huge else None)
+    done = _run_cli_limited([*argv, path, path], 2 << 30)
+    assert done.returncode == 4, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == f"strongprod: error: {message}\n"
+
+
 def test_importing_the_cli_loads_no_scipy_or_networkx():
     code = ("import sys, strongprod.cli\n"
             "print(sorted(m for m in sys.modules"
@@ -411,3 +432,12 @@ def test_python_dash_m_runs_the_cli(graph_file):
                               capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == 3, module
         assert done.stdout == '{"n":3,"m":2,"strongly_connected":false}\n', module
+
+
+def test_verify_formula_script_passes():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "verify_formula.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--pairs", "3", "--triples", "1", "--seed", "0"],
+        capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].startswith("OK: ")

@@ -19,6 +19,7 @@ from strongprod.digraph import (
 from strongprod.errors import (
     ArcCountError,
     ArcLineError,
+    DigraphValidationError,
     DuplicateArcError,
     EdgeListFormatError,
     EmptyGraphError,
@@ -29,7 +30,7 @@ from strongprod.errors import (
 )
 from strongprod.generate import complete_digraph, directed_cycle, directed_path
 
-from .strategies import digraphs
+from .strategies import arc_set, digraphs
 
 
 def _fields(doc):
@@ -179,6 +180,27 @@ class TestBuildDigraph:
             build_digraph(EdgeListDocument(n, len(arcs), arcs))
         assert str(info.value) == message
 
+    @given(st.data())
+    @settings(max_examples=400)
+    def test_first_fault_matches_a_scan_by_definition(self, data):
+        """Self-loops, rows out of range (some with colliding keys), huge
+        vertices and repeats, against a plain scan in input order."""
+        n = data.draw(st.integers(0, 4))
+        vertex = st.sampled_from([-1, *range(n + 2), 10**30])
+        arcs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+        expected = _first_fault_by_definition(n, arcs)
+        inputs = [arcs]
+        if all(max(map(abs, arc)) < 2**63 for arc in arcs):
+            inputs.append(np.array(arcs, dtype=np.int64).reshape(-1, 2))
+        for given_arcs in inputs:
+            try:
+                g = Digraph(n, given_arcs)
+            except DigraphValidationError as exc:
+                assert (type(exc), str(exc)) == expected
+            else:
+                assert expected is None
+                assert arc_set(g) == set(arcs) and g.m == len(arcs)
+
     def test_digraph_constructor_validates(self):
         with pytest.raises(EmptyGraphError):
             Digraph(0, frozenset())
@@ -186,6 +208,25 @@ class TestBuildDigraph:
             Digraph(2, frozenset({(1, 1)}))
         with pytest.raises(VertexRangeError):
             Digraph(2, frozenset({(0, 5)}))
+
+
+def _first_fault_by_definition(n, arcs):
+    """(error type, message) for the first faulty arc in order, or None."""
+    if n < 1:
+        return EmptyGraphError, "digraph must have at least one vertex"
+    seen = set()
+    for u, v in arcs:
+        if u == v:
+            return SelfLoopError, f"self-loop at vertex {u}"
+        if max(u, v) >= n:
+            return VertexRangeError, f"arc ({u}, {v}) outside [0, {n})"
+        if min(u, v) < 0:
+            return VertexRangeError, (f"arc ({u}, {v}) outside [0, {2**63}), "
+                                      "the vertices an arc can hold")
+        if (u, v) in seen:
+            return DuplicateArcError, f"arc ({u}, {v}) listed more than once"
+        seen.add((u, v))
+    return None
 
 
 def _dense(g):
@@ -196,17 +237,17 @@ def _dense(g):
 
 
 def _successors_by_definition(g):
-    return tuple(tuple(sorted(v for u, v in g.arcs if u == x)) for x in range(g.n))
+    return tuple(tuple(sorted(v for u, v in arc_set(g) if u == x)) for x in range(g.n))
 
 
 def _predecessors_by_definition(g):
-    return tuple(tuple(sorted(u for u, v in g.arcs if v == x)) for x in range(g.n))
+    return tuple(tuple(sorted(u for u, v in arc_set(g) if v == x)) for x in range(g.n))
 
 
 class TestDigraphValue:
     @given(digraphs(max_n=8))
     def test_frozenset_and_array_build_equal_graphs(self, g):
-        pairs = sorted(g.arcs)
+        pairs = sorted(arc_set(g))
         from_array = Digraph(g.n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
         from_set = Digraph(g.n, frozenset(pairs))
         assert from_array == from_set
@@ -225,7 +266,6 @@ class TestDigraphValue:
 
     @given(digraphs(max_n=8))
     def test_derived_views_match_their_definitions(self, g):
-        assert g.arcs == frozenset(map(tuple, g.arc_array.tolist()))
         assert g.successors == _successors_by_definition(g)
         offsets, tails = g._in_csr
         bounds = offsets.tolist()
@@ -233,17 +273,29 @@ class TestDigraphValue:
             tuple(tails[a:b].tolist()) for a, b in zip(bounds, bounds[1:])
         ) == _predecessors_by_definition(g)
         a = _dense(g)
+        arcs = arc_set(g)
         for u in range(g.n):
             for v in range(g.n):
-                assert (a[u, v] == 1) == ((u, v) in g.arcs)
+                assert (a[u, v] == 1) == ((u, v) in arcs)
 
     @given(digraphs(max_n=8), st.randoms(use_true_random=False))
     def test_order_and_repeats_do_not_matter(self, g, rng):
-        pairs = sorted(g.arcs) * 2
+        """Any order gives the same digraph; a repeated pair is an error."""
+        pairs = sorted(arc_set(g))
         rng.shuffle(pairs)
         assert Digraph(g.n, pairs) == g
         assert Digraph(g.n, iter(pairs)) == g
         assert Digraph(g.n, np.array(pairs, dtype=np.int32).reshape(-1, 2)) == g
+        if pairs:
+            u, v = pairs[-1]
+            with pytest.raises(DuplicateArcError,
+                               match=f"^arc \\({u}, {v}\\) listed more than once$"):
+                Digraph(g.n, pairs + [pairs[-1]])
+
+    def test_int32_rows_are_keyed_without_wrapping(self):
+        # 49999 * 50000 + 1 does not fit in int32.
+        arcs = np.array([[49999, 1], [1, 49999]], dtype=np.int32)
+        assert Digraph(50000, arcs).arc_array.tolist() == [[1, 49999], [49999, 1]]
 
     def test_rejects_rows_that_are_not_pairs(self):
         with pytest.raises(ValueError):

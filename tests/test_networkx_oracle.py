@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from strongprod.apsp import UNREACHABLE, all_pairs_distances
 from strongprod.product import encode_label, strong_product_n
 
-from .strategies import digraphs
+from .strategies import arc_set, digraphs
 
 nx = pytest.importorskip("networkx")
 
@@ -16,7 +16,7 @@ nx = pytest.importorskip("networkx")
 def _networkx_digraph(g):
     graph = nx.DiGraph()
     graph.add_nodes_from(range(g.n))
-    graph.add_edges_from(g.arcs)
+    graph.add_edges_from(arc_set(g))
     return graph
 
 
@@ -54,7 +54,7 @@ def test_strong_product_matches_networkx(gs):
     dims = [g.n for g in gs]
     product = strong_product_n(gs)
     assert product.n == expected.number_of_nodes()
-    assert product.arcs == frozenset(
+    assert arc_set(product) == frozenset(
         (encode_label(_coords(u), dims), encode_label(_coords(v), dims))
         for u, v in expected.edges
     )
