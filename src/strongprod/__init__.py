@@ -4,7 +4,6 @@ from .apsp import (
     UNREACHABLE,
     DistanceMatrix,
     all_pairs_distances,
-    average_distance,
     bfs_distances,
     diameter,
 )
@@ -19,7 +18,6 @@ from .digraph import (
 )
 from .metrics import (
     MetricsReport,
-    average_distance_oracle_n,
     average_distance_product_n,
     product_distance_n,
     sigma_counting_n,
@@ -40,8 +38,6 @@ __all__ = [
     "MetricsReport",
     "UNREACHABLE",
     "all_pairs_distances",
-    "average_distance",
-    "average_distance_oracle_n",
     "average_distance_product_n",
     "bfs_distances",
     "build_digraph",

@@ -1,4 +1,4 @@
-"""All-pairs shortest paths and single-digraph distance statistics.
+"""All-pairs shortest paths and the diameter of one digraph.
 
 ``all_pairs_distances`` is the production path: a breadth-first search
 from every source at once on packed bits, or Floyd-Warshall once the
@@ -12,17 +12,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .digraph import Digraph
-from .errors import (
-    DistanceMatrixTooLargeError,
-    NotStronglyConnectedError,
-    OrderTooSmallError,
-)
+from .errors import DistanceMatrixTooLargeError, NotStronglyConnectedError
 
 # Marks an unreachable pair in ``DistanceMatrix.array``.
 UNREACHABLE = -1
@@ -238,7 +233,7 @@ def _bfs_fill(d: np.ndarray, g: Digraph, max_levels: int) -> bool:
     """
     n = g.n
     words = -(-n // 64)
-    offsets = np.searchsorted(g.arc_array[:, 0], np.arange(n + 1))
+    offsets, heads = g._out_csr
     sinks = np.flatnonzero(offsets[1:] == offsets[:-1])
     v = np.arange(n)
     frontier = np.zeros((n, words), dtype=_WORD)
@@ -246,7 +241,7 @@ def _bfs_fill(d: np.ndarray, g: Digraph, max_levels: int) -> bool:
     unreached = _all_but_self(v, words)
     unreached[sinks] = 0
     new = np.empty_like(frontier)
-    chunks = _gather_chunks(offsets, g.arc_array[:, 1], words)
+    chunks = _gather_chunks(offsets, heads, words)
     longest = max((len(h) for _, h, starts in chunks if starts is not None), default=0)
     gathered = np.empty((longest, words), dtype=_WORD)
     planes: list[np.ndarray] = []
@@ -319,9 +314,3 @@ def diameter(d: DistanceMatrix) -> int:
     """Maximum distance over ordered vertex pairs; 0 for a single vertex."""
     return int(d.finite_array().max())
 
-
-def average_distance(d: DistanceMatrix) -> Fraction:
-    """Exact mean distance over ordered pairs of distinct vertices."""
-    if d.n < 2:
-        raise OrderTooSmallError("average distance needs at least 2 vertices")
-    return Fraction(int(d.finite_array().sum(dtype=np.int64)), d.n * (d.n - 1))

@@ -6,7 +6,7 @@ byte-identical output.
 
 Exit codes: 0 success, 1 usage, 2 parse or validation failure,
 3 not strongly connected, 4 size limit (the product's vertex limit, or a
-product or distance matrix too large for memory).
+product, distance matrix or naive sum too large for memory).
 """
 
 from __future__ import annotations

@@ -100,7 +100,7 @@ class Digraph:
             u, v = rows[good].tolist()
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
-            if max(u, v) >= self.n:
+            if min(u, v) < 0 or max(u, v) >= self.n:
                 raise VertexRangeError(f"arc ({u}, {v}) outside [0, {self.n})")
             raise VertexRangeError(f"arc ({u}, {v}) outside [0, {_VERTEX_LIMIT}), "
                                    "the vertices an arc can hold")
@@ -173,7 +173,7 @@ def _csr(n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The heads of u's arcs are ``heads[offsets[u]:offsets[u + 1]]``.
     """
     offsets = np.searchsorted(rows[:, 0], np.arange(n + 1))
-    return offsets, np.ascontiguousarray(rows[:, 1])
+    return offsets, rows[:, 1]
 
 
 def _neighbour_tuples(

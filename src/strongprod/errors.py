@@ -74,7 +74,7 @@ class OrderTooSmallError(StrongProdError):
 
 
 class ProductTooLargeError(StrongProdError):
-    """An explicit product would exceed the vertex limit, or not fit in memory."""
+    """A product passes the vertex limit, or it or its naive sum outgrows memory."""
 
 
 class DistanceMatrixTooLargeError(StrongProdError):

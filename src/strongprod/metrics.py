@@ -2,13 +2,17 @@
 
 The product distance is the maximum of the factor distances, so the
 distance sum sigma and the average distance mu of a product need only the
-factor distance matrices, never the product itself. Three routes compute
-sigma and must agree exactly:
+factor distance matrices, never the product itself. Three routes build
+one report and must agree exactly; they differ only in the matrices read
+and the sum taken:
 
-* ``naive``    - compare every factor-entry combination (prod n_i^2 maxima);
-* ``counting`` - multiply the factor distance CDFs into the product's CDF,
-  O(sum n_i^2 + k * D) for k factors and largest diameter D;
-* ``oracle``   - build the explicit product and sum its distance matrix.
+* ``naive``    - the factors' matrices, summed over every combination of
+  one entry per factor (prod n_i^2 maxima);
+* ``counting`` - the factors' matrices, their distance CDFs multiplied
+  into the product's CDF, O(sum n_i^2 + k * D) for k factors and largest
+  diameter D;
+* ``oracle``   - the explicit product's own matrix, summed as ``naive``
+  sums one matrix.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .errors import (
     EmptyFactorListError,
     NotStronglyConnectedError,
     OrderTooSmallError,
+    ProductTooLargeError,
 )
 from .product import DEFAULT_MAX_PRODUCT_VERTICES, strong_product_n
 
@@ -71,32 +76,41 @@ def product_distance_n(
     return max(_checked_entry(d, x, y) for d, x, y in zip(ds, xs, ys))
 
 
-def _sigma_naive_flats(flats: list[np.ndarray]) -> int:
-    if len(flats) == 1:
-        return int(flats[0].sum(dtype=np.int64))
-    acc = flats[0]
-    for flat in flats[1:-1]:
-        acc = np.maximum.outer(acc, flat).ravel()
-    last = flats[-1]
-    # Chunk the outer maximum so the temporary stays a few dozen MB at most.
-    chunk = max(1, (1 << 22) // last.size)
-    total = 0
-    for start in range(0, acc.size, chunk):
-        block = np.maximum.outer(acc[start:start + chunk], last)
-        total += int(block.sum(dtype=np.int64))
-    return total
-
-
 def sigma_naive_n(ds: Sequence[DistanceMatrix]) -> int:
     """Distance sum over all ordered product pairs by direct comparison.
 
     Every combination of one entry per factor (diagonal zeros included)
     is one ordered product pair, and its distance is the maximum of those
-    entries.
+    entries. Over one matrix this is its entry sum. Raises
+    :class:`ProductTooLargeError` when the maxima over all but the last
+    factor, which are held at once, do not fit in memory.
     """
     if not ds:
         raise EmptyFactorListError("need at least one factor")
-    return _sigma_naive_flats([d.finite_array().ravel() for d in ds])
+    *outer, last = [d.finite_array().ravel() for d in ds]
+    if not outer:
+        return int(last.sum(dtype=np.int64))
+    count = prod(flat.size for flat in outer)
+    nbytes = count * np.result_type(*outer).itemsize
+    too_large = ProductTooLargeError(
+        f"the naive sum holds {count} distance maxima ({nbytes} bytes) at once, "
+        "too many for memory"
+    )
+    if nbytes > np.iinfo(np.intp).max:
+        raise too_large
+    try:
+        acc = outer[0]
+        for flat in outer[1:]:
+            acc = np.maximum.outer(acc, flat).ravel()
+        # Chunk the outer maximum so the temporary stays a few dozen MB at most.
+        chunk = max(1, (1 << 22) // last.size)
+        total = 0
+        for start in range(0, acc.size, chunk):
+            block = np.maximum.outer(acc[start:start + chunk], last)
+            total += int(block.sum(dtype=np.int64))
+    except MemoryError:
+        raise too_large from None
+    return total
 
 
 def sigma_counting_n(ds: Sequence[DistanceMatrix]) -> int:
@@ -145,8 +159,27 @@ def _check_factors(gs: Sequence[Digraph]) -> int:
     return order
 
 
-def _report(gs: Sequence[Digraph], order: int, sigma: int, diam: int,
-            method: str) -> MetricsReport:
+def average_distance_product_n(
+    gs: Sequence[Digraph],
+    method: str = "counting",
+    max_product_vertices: int = DEFAULT_MAX_PRODUCT_VERTICES,
+) -> MetricsReport:
+    """Metrics of the strong product of ``gs``.
+
+    ``naive`` and ``counting`` read the factors' distance matrices and
+    never build the product; ``oracle`` builds it (up to
+    ``max_product_vertices`` vertices) and reads its one matrix. Every
+    route takes the diameter as the largest diameter of the matrices read.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    order = _check_factors(gs)
+    if method == "oracle":
+        product = strong_product_n(gs, max_vertices=max_product_vertices)
+        ds = [all_pairs_distances(product)]
+    else:
+        ds = [all_pairs_distances(g) for g in gs]
+    sigma = sigma_counting_n(ds) if method == "counting" else sigma_naive_n(ds)
     mu = Fraction(sigma, order * (order - 1))
     return MetricsReport(
         factor_orders=tuple(g.n for g in gs),
@@ -154,43 +187,6 @@ def _report(gs: Sequence[Digraph], order: int, sigma: int, diam: int,
         sigma=sigma,
         mu=mu,
         mu_decimal=_decimal_12sig(mu),
-        diameter=diam,
+        diameter=max(map(diameter, ds)),
         method=method,
     )
-
-
-def average_distance_product_n(
-    gs: Sequence[Digraph],
-    method: str = "counting",
-    max_product_vertices: int = DEFAULT_MAX_PRODUCT_VERTICES,
-) -> MetricsReport:
-    """Metrics of the strong product of ``gs`` without building it.
-
-    Runs the all-pairs computation on each factor, combines the factor
-    distances by the selected method, and takes the diameter as the
-    maximum factor diameter. ``method="oracle"`` instead defers to
-    :func:`average_distance_oracle_n`.
-    """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method == "oracle":
-        return average_distance_oracle_n(
-            gs, max_product_vertices=max_product_vertices
-        )
-    order = _check_factors(gs)
-    ds = [all_pairs_distances(g) for g in gs]
-    sigma = sigma_naive_n(ds) if method == "naive" else sigma_counting_n(ds)
-    diam = max(diameter(d) for d in ds)
-    return _report(gs, order, sigma, diam, method)
-
-
-def average_distance_oracle_n(
-    gs: Sequence[Digraph],
-    max_product_vertices: int = DEFAULT_MAX_PRODUCT_VERTICES,
-) -> MetricsReport:
-    """Metrics via the explicit product: the end-to-end verification route."""
-    order = _check_factors(gs)
-    product = strong_product_n(gs, max_vertices=max_product_vertices)
-    d = all_pairs_distances(product)
-    sigma = int(d.finite_array().sum(dtype=np.int64))
-    return _report(gs, order, sigma, diameter(d), "oracle")

@@ -23,7 +23,6 @@ from strongprod.generate import (
     random_strongly_connected,
 )
 from strongprod.metrics import (
-    average_distance_oracle_n,
     average_distance_product_n,
     product_distance_n,
     sigma_counting_n,
@@ -156,11 +155,15 @@ def test_criterion_3_nary_distance_formula():
 def test_criterion_4_frozen_fixtures():
     failures = []
 
-    c3c3 = average_distance_oracle_n([directed_cycle(3), directed_cycle(3)])
+    c3c3 = average_distance_product_n(
+        [directed_cycle(3), directed_cycle(3)], method="oracle"
+    )
     if (c3c3.sigma, c3c3.mu) != (117, Fraction(13, 8)):
         failures.append(f"C3 x C3 gave sigma={c3c3.sigma}, mu={c3c3.mu}")
 
-    c2c3 = average_distance_oracle_n([directed_cycle(2), directed_cycle(3)])
+    c2c3 = average_distance_product_n(
+        [directed_cycle(2), directed_cycle(3)], method="oracle"
+    )
     if (c2c3.sigma, c2c3.mu, c2c3.diameter) != (42, Fraction(7, 5), 2):
         failures.append(
             f"C2 x C3 gave sigma={c2c3.sigma}, mu={c2c3.mu}, diam={c2c3.diameter}"

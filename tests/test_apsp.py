@@ -21,7 +21,6 @@ from strongprod.apsp import (
     _relax,
     _sentinel,
     all_pairs_distances,
-    average_distance,
     bfs_distances,
     diameter,
 )
@@ -37,6 +36,7 @@ from strongprod.generate import (
     directed_path,
     random_digraph,
 )
+from strongprod.metrics import average_distance_product_n
 
 from .strategies import arc_set, digraphs, strongly_connected_digraphs
 
@@ -177,19 +177,19 @@ class TestDiameter:
 
 class TestAverageDistance:
     def test_three_cycle(self):
-        assert average_distance(all_pairs_distances(directed_cycle(3))) == Fraction(3, 2)
+        assert average_distance_product_n([directed_cycle(3)]).mu == Fraction(3, 2)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_complete_digraphs_average_one(self, n):
-        assert average_distance(all_pairs_distances(complete_digraph(n))) == 1
+        assert average_distance_product_n([complete_digraph(n)]).mu == 1
 
     def test_path_raises(self):
         with pytest.raises(NotStronglyConnectedError):
-            average_distance(all_pairs_distances(directed_path(3)))
+            average_distance_product_n([directed_path(3)]).mu
 
     def test_single_vertex_raises(self):
         with pytest.raises(OrderTooSmallError):
-            average_distance(all_pairs_distances(complete_digraph(1)))
+            average_distance_product_n([complete_digraph(1)]).mu
 
 
 @given(digraphs(max_n=10))
@@ -236,7 +236,7 @@ def test_relaxation_is_idempotent(g):
 @given(strongly_connected_digraphs(max_n=8))
 @settings(max_examples=60)
 def test_average_distance_at_least_one(g):
-    mu = average_distance(all_pairs_distances(g))
+    mu = average_distance_product_n([g]).mu
     assert mu >= 1
     if g.m == g.n * (g.n - 1):
         assert mu == 1
@@ -246,7 +246,7 @@ def test_average_distance_at_least_one(g):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_average_one_exactly_for_complete(n):
-    assert average_distance(all_pairs_distances(complete_digraph(n))) == 1
+    assert average_distance_product_n([complete_digraph(n)]).mu == 1
 
 
 def _with_source(g):

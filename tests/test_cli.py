@@ -414,6 +414,18 @@ def test_product_too_large_for_memory_exits_four(graph_file, argv, huge, message
     assert done.stderr == f"strongprod: error: {message}\n"
 
 
+def test_naive_sum_too_large_for_memory_exits_four(graph_file):
+    # Over three factors the naive sum holds the 182**4 maxima of the first
+    # two at once: 2.2 GB of int16, above the child's 2 GiB.
+    k182 = graph_file("k182.el", complete_digraph(182))
+    c2 = graph_file("c2.el", directed_cycle(2))
+    done = _run_cli_limited(["avgdist", "--method", "naive", k182, k182, c2], 2 << 30)
+    assert done.returncode == 4, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == ("strongprod: error: the naive sum holds 1097199376 distance "
+                           "maxima (2194398752 bytes) at once, too many for memory\n")
+
+
 def test_importing_the_cli_loads_no_scipy_or_networkx():
     code = ("import sys, strongprod.cli\n"
             "print(sorted(m for m in sys.modules"

@@ -174,6 +174,10 @@ class TestBuildDigraph:
         (3, ((0, 10**30),), VertexRangeError, f"arc (0, {10**30}) outside [0, 3)"),
         (3, ((10**30, 10**30), (0, 10**30)), SelfLoopError,
          f"self-loop at vertex {10**30}"),
+        (3, ((0, -1),), VertexRangeError, "arc (0, -1) outside [0, 3)"),
+        (2**64, ((-1, 2**63),), VertexRangeError, f"arc (-1, {2**63}) outside [0, {2**64})"),
+        (2**64, ((0, 2**63),), VertexRangeError,
+         f"arc (0, {2**63}) outside [0, {2**63}), the vertices an arc can hold"),
     ])
     def test_first_faulty_arc_in_file_order_is_reported(self, n, arcs, error, message):
         with pytest.raises(error) as info:
@@ -218,11 +222,8 @@ def _first_fault_by_definition(n, arcs):
     for u, v in arcs:
         if u == v:
             return SelfLoopError, f"self-loop at vertex {u}"
-        if max(u, v) >= n:
+        if min(u, v) < 0 or max(u, v) >= n:
             return VertexRangeError, f"arc ({u}, {v}) outside [0, {n})"
-        if min(u, v) < 0:
-            return VertexRangeError, (f"arc ({u}, {v}) outside [0, {2**63}), "
-                                      "the vertices an arc can hold")
         if (u, v) in seen:
             return DuplicateArcError, f"arc ({u}, {v}) listed more than once"
         seen.add((u, v))
@@ -436,8 +437,9 @@ def test_array_route_agrees_with_the_line_scanner(text):
     if outcome[0] == "ok":
         n, _, arcs = outcome[1]
         if 0 < n < 2**63 <= max((max(arc) for arc in arcs), default=0):
-            with pytest.raises(VertexRangeError):
+            with pytest.raises(DigraphValidationError) as info:
                 build_digraph(parse_edge_list(text))
+            assert (type(info.value), str(info.value)) == _first_fault_by_definition(n, arcs)
 
 
 @given(digraphs(max_n=12))

@@ -5,12 +5,13 @@ all-pairs computation, sum the matrix) before being frozen here:
 sigma(C3 x C3) = 117, sigma(C2 x C3) = 42, sigma(K2 x K2) = 12.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strongprod.apsp import all_pairs_distances, average_distance, diameter
+from strongprod.apsp import all_pairs_distances, diameter
 from strongprod.digraph import Digraph
 from strongprod.errors import (
     ArityMismatchError,
@@ -21,7 +22,6 @@ from strongprod.errors import (
 from strongprod.generate import complete_digraph, directed_cycle, directed_path
 from strongprod.metrics import (
     _decimal_12sig,
-    average_distance_oracle_n,
     average_distance_product_n,
     product_distance_n,
     sigma_counting_n,
@@ -109,10 +109,9 @@ class TestSigma:
 
     @pytest.mark.parametrize("route", [
         diameter,
-        average_distance,
         lambda d: sigma_naive_n([D_C3, d]),
         lambda d: sigma_counting_n([d, D_C3]),
-    ], ids=["diameter", "average_distance", "sigma_naive_n", "sigma_counting_n"])
+    ], ids=["diameter", "sigma_naive_n", "sigma_counting_n"])
     def test_every_route_names_the_first_unreachable_pair(self, route):
         with pytest.raises(NotStronglyConnectedError,
                            match="^no directed path from 1 to 0$"):
@@ -227,7 +226,7 @@ def test_four_factor_report_matches_oracle():
     ]
     counting = average_distance_product_n(factors, method="counting")
     naive = average_distance_product_n(factors, method="naive")
-    oracle = average_distance_oracle_n(factors)
+    oracle = average_distance_product_n(factors, method="oracle")
     assert counting.product_order == 24
     assert (counting.sigma, counting.mu, counting.diameter) == (
         (naive.sigma, naive.mu, naive.diameter)
@@ -239,42 +238,48 @@ def test_four_factor_report_matches_oracle():
 
 class TestAverageDistanceOracle:
     def test_c3_c3(self):
-        report = average_distance_oracle_n([directed_cycle(3), directed_cycle(3)])
+        report = average_distance_product_n(
+            [directed_cycle(3), directed_cycle(3)], method="oracle"
+        )
         assert report.sigma == 117
         assert report.mu == Fraction(13, 8)
         assert report.diameter == 2
         assert report.method == "oracle"
 
     def test_complete_factors(self):
-        assert average_distance_oracle_n(
-            [complete_digraph(2), complete_digraph(2)]
+        assert average_distance_product_n(
+            [complete_digraph(2), complete_digraph(2)], method="oracle"
         ).mu == 1
 
     def test_disconnected_factor(self):
         with pytest.raises(NotStronglyConnectedError):
-            average_distance_oracle_n([directed_path(2), directed_cycle(2)])
+            average_distance_product_n(
+                [directed_path(2), directed_cycle(2)], method="oracle"
+            )
 
 
-@given(strongly_connected_digraphs(max_n=5), strongly_connected_digraphs(max_n=5))
+@given(st.lists(strongly_connected_digraphs(max_n=5), min_size=1, max_size=3))
 @settings(max_examples=50, deadline=None)
-def test_report_invariants_and_route_agreement(g1, g2):
-    counting = average_distance_product_n([g1, g2], method="counting")
-    naive = average_distance_product_n([g1, g2], method="naive")
-    oracle = average_distance_oracle_n([g1, g2])
-    for report in (counting, naive, oracle):
-        assert report.sigma == counting.sigma
-        assert report.mu == counting.mu
-        assert report.diameter == counting.diameter
-        n = report.product_order
-        assert report.mu == Fraction(report.sigma, n * (n - 1))
-        assert 1 <= report.mu <= report.diameter
-        assert report.diameter >= 1
+def test_report_invariants_and_route_agreement(gs):
+    """The three routes of the one entry point agree in every field but ``method``."""
+    reports = {method: average_distance_product_n(gs, method=method)
+               for method in ("naive", "counting", "oracle")}
+    counting = reports["counting"]
+    for method, report in reports.items():
+        assert report.method == method
+        assert replace(report, method="counting") == counting
+    n = counting.product_order
+    assert counting.mu == Fraction(counting.sigma, n * (n - 1))
+    assert 1 <= counting.mu <= counting.diameter
+    if len(gs) == 1:
+        total = int(all_pairs_distances(gs[0]).array.sum())
+        assert counting.mu == Fraction(total, n * (n - 1))
 
 
 @given(strongly_connected_digraphs(max_n=5), strongly_connected_digraphs(max_n=5))
 @settings(max_examples=50, deadline=None)
 def test_diameter_is_max_of_factor_diameters(g1, g2):
-    report = average_distance_oracle_n([g1, g2])
+    report = average_distance_product_n([g1, g2], method="oracle")
     d1 = diameter(all_pairs_distances(g1))
     d2 = diameter(all_pairs_distances(g2))
     assert report.diameter == max(d1, d2)
