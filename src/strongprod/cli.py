@@ -2,11 +2,16 @@
 
 Data goes to standard output (or ``--out`` for products), diagnostics to
 standard error. Output is deterministic: identical inputs give
-byte-identical output.
+byte-identical output. ``apsp`` renders its matrix in blocks of rows of
+bounded size.
 
 Exit codes: 0 success, 1 usage, 2 parse or validation failure,
-3 not strongly connected, 4 size limit (the product's vertex limit, or a
-product, distance matrix or naive sum too large for memory).
+3 not strongly connected, 4 size limit (the product's vertex limit, which
+bounds ``avgdist --method naive`` and ``oracle``, or a product, distance
+matrix or naive sum too large for memory). ``avgdist`` learns a factor's
+strong connectivity from its distance matrix, so a factor with at least
+as many arcs as vertices whose matrix does not fit exits 4, connected or
+not; one with fewer arcs exits 3 at once.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +44,18 @@ EXIT_NOT_STRONGLY_CONNECTED = 3
 EXIT_SIZE_LIMIT = 4
 
 _JSON_COMPACT = {"separators": (",", ":")}
+
+# Byte budget of each block of rows that ``apsp`` renders: small next to
+# the kernel's work buffers, so that rendering does not add to peak memory.
+_RENDER_BYTES = 1 << 17
+
+# Per ``apsp`` format: the token of an unreachable pair, the separator after
+# a cell inside a row and after a row's last cell, and the text before the
+# first row and after the last one (which takes the last row end's place).
+_LAYOUTS = {
+    "tsv": ("INF", "\t", "\n", "", "\n"),
+    "json": ("null", ",", "],[", "[[", "]]\n"),
+}
 
 
 class _InputFileError(Exception):
@@ -97,7 +114,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--method", choices=METHODS, default="counting")
     p.add_argument("--max-product-vertices", type=int,
                    default=DEFAULT_MAX_PRODUCT_VERTICES,
-                   help="vertex limit for the explicit product (oracle method)")
+                   help="refuse products larger than this many vertices "
+                        "(naive and oracle methods)")
 
     return parser
 
@@ -128,21 +146,43 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if connected else EXIT_NOT_STRONGLY_CONNECTED
 
 
+def _render(d: np.ndarray, fmt: str, block_bytes: int = _RENDER_BYTES) -> Iterator[str]:
+    """The text of the distance array ``d`` in ``fmt``, a block of rows at a time.
+
+    Every distance in [0, n), and UNREACHABLE (-1) in the last slot, where
+    ``take`` wraps it, has a fixed-width NUL-padded cell of ASCII bytes:
+    its token and the separator after it. A block of rows is one ``take``
+    into the cells, with the row ends' cells written over its last
+    column; deleting the NULs leaves the block's text. Blocks stay near
+    ``block_bytes``, so memory does not grow with the rows rendered.
+    """
+    unreachable, sep, row_end, head, tail = _LAYOUTS[fmt]
+    n = d.shape[0]
+    tokens = [*map(str, range(n)), None]
+    tokens[UNREACHABLE] = unreachable
+    dtype = f"S{max(map(len, tokens)) + max(len(sep), len(row_end))}"
+    cells = np.array([t + sep for t in tokens], dtype=dtype)
+    ends = np.array([t + row_end for t in tokens], dtype=dtype)
+    # A block's cells, their bytes and its text are alive at once. (The
+    # intp indices that take converts the block to take no more.)
+    rows = max(1, block_bytes // (3 * n * cells.itemsize))
+    buf = np.empty((min(rows, n), n), dtype=dtype)
+    yield head
+    for r in range(0, n, rows):
+        block = d[r:r + rows]
+        out = buf[:len(block)]
+        cells.take(block, out=out, mode="wrap")
+        out[:, -1] = ends.take(block[:, -1], mode="wrap")
+        text = out.tobytes().translate(None, b"\0")
+        if r + rows >= n:
+            text = text[:len(text) - len(row_end)]
+        yield text.decode("ascii")
+    yield tail
+
+
 def cmd_apsp(args: argparse.Namespace) -> int:
     d = all_pairs_distances(_load(args.paths[0]))
-    # Distances lie in [0, n); the extra last slot is where UNREACHABLE
-    # (-1) indexes, so one lookup renders a whole row.
-    tokens = np.array([*map(str, range(d.n)), None], dtype=object)
-    write = sys.stdout.write
-    if args.fmt == "json":
-        tokens[UNREACHABLE] = "null"
-        for i, row in enumerate(d.array):
-            write(("[[" if i == 0 else ",[") + ",".join(tokens[row]) + "]")
-        write("]\n")
-    else:
-        tokens[UNREACHABLE] = "INF"
-        for row in d.array:
-            write("\t".join(tokens[row]) + "\n")
+    sys.stdout.writelines(_render(d.array, args.fmt))
     return EXIT_OK
 
 

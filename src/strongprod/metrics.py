@@ -145,18 +145,39 @@ def _decimal_12sig(value: Fraction) -> str:
     return format(padded, "f")
 
 
-def _check_factors(gs: Sequence[Digraph]) -> int:
-    if not gs:
-        raise EmptyFactorListError("need at least one factor")
+def _not_connected(index: int) -> NotStronglyConnectedError:
+    return NotStronglyConnectedError(
+        f"factor {index} is not strongly connected", factor=index
+    )
+
+
+def _check_connected(gs: Sequence[Digraph]) -> None:
+    """Raise for the first factor that is not strongly connected, by traversal."""
     for index, g in enumerate(gs):
         if not is_strongly_connected(g):
-            raise NotStronglyConnectedError(
-                f"factor {index} is not strongly connected", factor=index
-            )
-    order = prod(g.n for g in gs)
-    if order < 2:
-        raise OrderTooSmallError("product must have at least 2 vertices")
-    return order
+            raise _not_connected(index)
+
+
+def _factor_matrices(gs: Sequence[Digraph]) -> list[DistanceMatrix]:
+    """The factors' distance matrices, each known strongly connected.
+
+    A factor is strongly connected iff its matrix has no unreachable pair,
+    so the matrices stand in for a traversal. First, a factor of two or
+    more vertices with fewer arcs than vertices has a vertex without an
+    out-arc and fails at once; only the factors before the first such one
+    are then traversed, so the lowest index is still the one named.
+    """
+    screened = next((i for i, g in enumerate(gs) if g.n > 1 and g.m < g.n), None)
+    if screened is not None:
+        _check_connected(gs[:screened])
+        raise _not_connected(screened)
+    ds = []
+    for index, g in enumerate(gs):
+        d = all_pairs_distances(g)
+        if not d.all_finite:
+            raise _not_connected(index)
+        ds.append(d)
+    return ds
 
 
 def average_distance_product_n(
@@ -167,18 +188,32 @@ def average_distance_product_n(
     """Metrics of the strong product of ``gs``.
 
     ``naive`` and ``counting`` read the factors' distance matrices and
-    never build the product; ``oracle`` builds it (up to
-    ``max_product_vertices`` vertices) and reads its one matrix. Every
-    route takes the diameter as the largest diameter of the matrices read.
+    never build the product; ``oracle`` builds it and reads its one
+    matrix. Every route takes the diameter as the largest diameter of the
+    matrices read. ``naive`` and ``oracle`` raise
+    :class:`ProductTooLargeError` for a product of more than
+    ``max_product_vertices`` vertices, once every factor is known to be
+    strongly connected.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    order = _check_factors(gs)
+    if not gs:
+        raise EmptyFactorListError("need at least one factor")
+    # An order below 2 means every factor is a single vertex, which is
+    # strongly connected, so this check can come first.
+    order = prod(g.n for g in gs)
+    if order < 2:
+        raise OrderTooSmallError("product must have at least 2 vertices")
     if method == "oracle":
+        _check_connected(gs)
         product = strong_product_n(gs, max_vertices=max_product_vertices)
         ds = [all_pairs_distances(product)]
     else:
-        ds = [all_pairs_distances(g) for g in gs]
+        ds = _factor_matrices(gs)
+        if method == "naive" and order > max_product_vertices:
+            raise ProductTooLargeError(
+                f"product has {order} vertices, limit is {max_product_vertices}"
+            )
     sigma = sigma_counting_n(ds) if method == "counting" else sigma_naive_n(ds)
     mu = Fraction(sigma, order * (order - 1))
     return MetricsReport(

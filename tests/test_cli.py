@@ -6,11 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strongprod
+import strongprod.cli as cli
+from strongprod.apsp import UNREACHABLE, all_pairs_distances
 from strongprod.cli import main
-from strongprod.digraph import build_digraph, parse_edge_list, write_edge_list
+from strongprod.digraph import Digraph, build_digraph, parse_edge_list, write_edge_list
 from strongprod.generate import complete_digraph, directed_cycle, directed_path
 from strongprod.product import strong_product_n
 
@@ -19,6 +24,15 @@ HUGE_ORDER_TEXT = "5000000000 1\n0 4999999999\n"
 
 # An order of 2**63 or more, and an arc on a vertex of 2**63.
 BEYOND_INT64_TEXT = f"{10**19} 1\n0 {2**63}\n"
+
+C3_TEXT = "3 3\n0 1\n1 2\n2 0\n"
+C4_TEXT = "4 4\n0 1\n1 2\n2 3\n3 0\n"
+
+# As many arcs as vertices, but vertex 0 is a source: nothing reaches it.
+SOURCE_TEXT = "3 3\n0 1\n1 2\n2 1\n"
+
+# Two disjoint 2-cycles: every vertex has an out-arc and an in-arc.
+TWO_CYCLES_TEXT = "4 4\n0 1\n1 0\n2 3\n3 2\n"
 
 # A 3-cycle whose last line ends in a byte that is not UTF-8.
 NON_UTF8_BYTES = b"3 3\n0 1\n1 2\n2 0\xff\n"
@@ -170,6 +184,70 @@ class TestApsp:
         )
 
 
+def _reference_apsp(array, fmt):
+    """``apsp`` output built the plain way, one Python value per pair."""
+    rows = [[None if v == UNREACHABLE else v for v in row] for row in array.tolist()]
+    if fmt == "json":
+        return json.dumps(rows, separators=(",", ":")) + "\n"
+    return "".join("\t".join("INF" if v is None else str(v) for v in row) + "\n"
+                   for row in rows)
+
+
+def _square_arrays(max_n):
+    """Square arrays of distances in [0, n) or UNREACHABLE, unrelated to any digraph."""
+    return st.integers(1, max_n).flatmap(lambda n: st.lists(
+        st.integers(UNREACHABLE, n - 1), min_size=n * n, max_size=n * n,
+    ).map(lambda values: np.array(values, dtype=np.int16).reshape(n, n)))
+
+
+class TestApspRendering:
+    """The byte-table renderer against a plain reference."""
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    @pytest.mark.parametrize("g", [
+        complete_digraph(1),
+        directed_path(5),
+        Digraph(6, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2), (5, 0)]),
+        # Distances up to 1000 and 1001: tokens cross from three to four digits.
+        directed_path(1001),
+        directed_cycle(1002),
+    ], ids=["k1", "p5", "two-parts", "p1001", "c1002"])
+    def test_cli_matches_reference(self, graph_file, capsys, g, fmt):
+        path = graph_file("g.el", g)
+        assert main(["apsp", path, "--format", fmt]) == 0
+        expected = _reference_apsp(all_pairs_distances(g).array, fmt)
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_every_block_size(self, fmt):
+        # Budgets from one row per block to all six at once, so the last row
+        # ends a block of every size.
+        d = np.array([[0, 1, -1, 2, 5, 3]] * 6, dtype=np.int16)
+        expected = _reference_apsp(d, fmt)
+        sizes = set()
+        for block_bytes in range(0, 2000, 5):
+            chunks = list(cli._render(d, fmt, block_bytes))
+            sizes.add(len(chunks))
+            assert "".join(chunks) == expected, block_bytes
+        # Head and tail, plus 6, 3, 2 or 1 blocks of rows.
+        assert sizes == {8, 5, 4, 3}
+
+    def test_wide_tokens_over_many_blocks(self):
+        n = 1200
+        d = (np.arange(n)[None, :] - np.arange(n)[:, None]).astype(np.int16)
+        d[d < 0] = UNREACHABLE
+        for fmt in ("tsv", "json"):
+            chunks = list(cli._render(d, fmt, block_bytes=n * 100))
+            assert len(chunks) > 100
+            assert "".join(chunks) == _reference_apsp(d, fmt)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=_square_arrays(9), fmt=st.sampled_from(["tsv", "json"]),
+           block_bytes=st.integers(0, 2000))
+    def test_arbitrary_arrays(self, d, fmt, block_bytes):
+        assert "".join(cli._render(d, fmt, block_bytes)) == _reference_apsp(d, fmt)
+
+
 class TestProduct:
     def test_c2_c3_header_and_arcs(self, graph_file, capsys):
         a = graph_file("c2.el", directed_cycle(2))
@@ -317,6 +395,25 @@ class TestAvgdist:
         assert captured.out == ""
         assert "factor 1" in captured.err
 
+    @pytest.mark.parametrize("method", ["counting", "naive", "oracle"])
+    @pytest.mark.parametrize("texts, factor", [
+        (["3 0\n", C3_TEXT], 0),
+        ([C3_TEXT, SOURCE_TEXT], 1),
+        ([C3_TEXT, C4_TEXT, TWO_CYCLES_TEXT], 2),
+        # The source factor passes the arc-count screen and the edgeless one
+        # fails it; the lower index is still the one named.
+        ([C3_TEXT, SOURCE_TEXT, "3 0\n"], 1),
+    ], ids=["edgeless-first", "source-second", "after-connected", "first-named"])
+    def test_not_strongly_connected_contract(
+            self, graph_file, capsys, texts, factor, method):
+        paths = [graph_file(f"f{i}.el", None, text=text) for i, text in enumerate(texts)]
+        assert main(["avgdist", *paths, "--method", method]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"strongprod: error: factor {factor} is not strongly connected\n"
+        )
+
     def test_huge_order_factor_exits_three(self, graph_file, capsys):
         a = graph_file("huge.el", None, text=HUGE_ORDER_TEXT)
         b = graph_file("c3.el", directed_cycle(3))
@@ -355,6 +452,24 @@ class TestAvgdist:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "limit" in captured.err
+
+    def test_naive_respects_vertex_limit(self, graph_file, capsys):
+        a = graph_file("c3.el", directed_cycle(3))
+        args = ["avgdist", a, a, "--method", "naive", "--max-product-vertices", "8"]
+        assert main(args) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "strongprod: error: product has 9 vertices, limit is 8\n"
+        assert main([*args[:-1], "9"]) == 0
+
+    def test_not_connected_comes_before_naive_vertex_limit(self, graph_file, capsys):
+        a = graph_file("c3.el", directed_cycle(3))
+        b = graph_file("src.el", None, text=SOURCE_TEXT)
+        args = ["avgdist", a, b, "--method", "naive", "--max-product-vertices", "5"]
+        assert main(args) == 3
+        assert capsys.readouterr().err == (
+            "strongprod: error: factor 1 is not strongly connected\n"
+        )
 
     def test_one_file_is_usage_error(self, graph_file):
         assert main(["avgdist", "whatever.el"]) == 1
@@ -416,10 +531,12 @@ def test_product_too_large_for_memory_exits_four(graph_file, argv, huge, message
 
 def test_naive_sum_too_large_for_memory_exits_four(graph_file):
     # Over three factors the naive sum holds the 182**4 maxima of the first
-    # two at once: 2.2 GB of int16, above the child's 2 GiB.
+    # two at once: 2.2 GB of int16, above the child's 2 GiB. The vertex
+    # limit is raised past the product's 66248 vertices to get there.
     k182 = graph_file("k182.el", complete_digraph(182))
     c2 = graph_file("c2.el", directed_cycle(2))
-    done = _run_cli_limited(["avgdist", "--method", "naive", k182, k182, c2], 2 << 30)
+    done = _run_cli_limited(["avgdist", "--method", "naive", "--max-product-vertices",
+                             "70000", k182, k182, c2], 2 << 30)
     assert done.returncode == 4, done.stderr
     assert done.stdout == ""
     assert done.stderr == ("strongprod: error: the naive sum holds 1097199376 distance "
