@@ -2,21 +2,22 @@
 
 Data goes to standard output (or ``--out`` for products), diagnostics to
 standard error. Output is deterministic: identical inputs give
-byte-identical output. ``apsp`` renders its matrix in blocks of rows of
-bounded size.
+byte-identical output. ``apsp`` matrices and ``product`` edge lists go
+through one renderer of byte cells, in blocks of rows of bounded size.
 
 Exit codes: 0 success, 1 usage, 2 parse or validation failure,
 3 not strongly connected, 4 size limit (the product's vertex limit, which
 bounds ``avgdist --method naive`` and ``oracle``, or a product, distance
 matrix or naive sum too large for memory). ``avgdist`` learns a factor's
-strong connectivity from its distance matrix, so a factor with at least
-as many arcs as vertices whose matrix does not fit exits 4, connected or
-not; one with fewer arcs exits 3 at once.
+strong connectivity from its distance matrix, so a factor in which every
+vertex has an out-arc and an in-arc but whose matrix does not fit exits 4,
+connected or not; one with a vertex that lacks either exits 3 at once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections.abc import Iterator, Sequence
@@ -24,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .apsp import UNREACHABLE, all_pairs_distances
+from .apsp import all_pairs_distances
+from .digraph import _RENDER_BYTES, _render_rows
 from .digraph import Digraph, is_strongly_connected, load_digraph, write_edge_list
 from .errors import (
     DigraphValidationError,
@@ -44,10 +46,6 @@ EXIT_NOT_STRONGLY_CONNECTED = 3
 EXIT_SIZE_LIMIT = 4
 
 _JSON_COMPACT = {"separators": (",", ":")}
-
-# Byte budget of each block of rows that ``apsp`` renders: small next to
-# the kernel's work buffers, so that rendering does not add to peak memory.
-_RENDER_BYTES = 1 << 17
 
 # Per ``apsp`` format: the token of an unreachable pair, the separator after
 # a cell inside a row and after a row's last cell, and the text before the
@@ -80,6 +78,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="strongprod",
@@ -89,17 +88,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="command")
 
     p = sub.add_parser("check", help="validate a file and test strong connectivity")
-    p.set_defaults(run=cmd_check)
     p.add_argument("paths", nargs=1, metavar="file")
 
     p = sub.add_parser("apsp", help="print the all-pairs distance matrix")
-    p.set_defaults(run=cmd_apsp)
     p.add_argument("paths", nargs=1, metavar="file")
     p.add_argument("--format", dest="fmt", choices=("tsv", "json"), default="tsv",
                    help="tsv uses INF for unreachable pairs, json uses null")
 
     p = sub.add_parser("product", help="write the explicit strong product edge list")
-    p.set_defaults(run=cmd_product)
     p.add_argument("paths", nargs="+", metavar="file")
     p.add_argument("--out", help="write the edge list here instead of stdout")
     p.add_argument("--check-connected", action="store_true",
@@ -109,7 +105,6 @@ def _build_parser() -> _Parser:
                    help="refuse products larger than this many vertices")
 
     p = sub.add_parser("avgdist", help="average distance report of a strong product")
-    p.set_defaults(run=cmd_avgdist)
     p.add_argument("paths", nargs="+", metavar="file")
     p.add_argument("--method", choices=METHODS, default="counting")
     p.add_argument("--max-product-vertices", type=int,
@@ -118,13 +113,6 @@ def _build_parser() -> _Parser:
                         "(naive and oracle methods)")
 
     return parser
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
 
 
 def _load(path: str) -> Digraph:
@@ -147,37 +135,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _render(d: np.ndarray, fmt: str, block_bytes: int = _RENDER_BYTES) -> Iterator[str]:
-    """The text of the distance array ``d`` in ``fmt``, a block of rows at a time.
-
-    Every distance in [0, n), and UNREACHABLE (-1) in the last slot, where
-    ``take`` wraps it, has a fixed-width NUL-padded cell of ASCII bytes:
-    its token and the separator after it. A block of rows is one ``take``
-    into the cells, with the row ends' cells written over its last
-    column; deleting the NULs leaves the block's text. Blocks stay near
-    ``block_bytes``, so memory does not grow with the rows rendered.
-    """
-    unreachable, sep, row_end, head, tail = _LAYOUTS[fmt]
-    n = d.shape[0]
-    tokens = [*map(str, range(n)), None]
-    tokens[UNREACHABLE] = unreachable
-    dtype = f"S{max(map(len, tokens)) + max(len(sep), len(row_end))}"
-    cells = np.array([t + sep for t in tokens], dtype=dtype)
-    ends = np.array([t + row_end for t in tokens], dtype=dtype)
-    # A block's cells, their bytes and its text are alive at once. (The
-    # intp indices that take converts the block to take no more.)
-    rows = max(1, block_bytes // (3 * n * cells.itemsize))
-    buf = np.empty((min(rows, n), n), dtype=dtype)
-    yield head
-    for r in range(0, n, rows):
-        block = d[r:r + rows]
-        out = buf[:len(block)]
-        cells.take(block, out=out, mode="wrap")
-        out[:, -1] = ends.take(block[:, -1], mode="wrap")
-        text = out.tobytes().translate(None, b"\0")
-        if r + rows >= n:
-            text = text[:len(text) - len(row_end)]
-        yield text.decode("ascii")
-    yield tail
+    """The text of the distance array ``d`` in ``fmt``, a block of rows at a time."""
+    unreachable, *layout = _LAYOUTS[fmt]
+    tokens = [*map(str, range(len(d))), unreachable]  # UNREACHABLE (-1) takes the last
+    return _render_rows(d, tokens, *layout, block_bytes)
 
 
 def cmd_apsp(args: argparse.Namespace) -> int:
@@ -200,7 +161,11 @@ def cmd_product(args: argparse.Namespace) -> int:
         "vertex index = row-major encoding of factor coordinates, "
         "leftmost factor most significant",
     )
-    _emit(write_edge_list(product, comments=comments), args.out)
+    text = write_edge_list(product, comments=comments)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        Path(args.out).write_text(text, encoding="utf-8")
     return EXIT_OK
 
 
@@ -225,9 +190,8 @@ def cmd_avgdist(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.subcommand in ("product", "avgdist") and len(args.paths) < 2:
@@ -235,7 +199,8 @@ def main(argv: Sequence[str] | None = None) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.run(args)
+        # By name per call: the parser is built once, and a command may be rebound.
+        return globals()[f"cmd_{args.subcommand}"](args)
     except tuple(_EXIT_CODES) as exc:
         print(f"strongprod: error: {exc}", file=sys.stderr)
         return next(code for error, code in _EXIT_CODES.items()

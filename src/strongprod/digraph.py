@@ -7,6 +7,7 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -133,7 +134,8 @@ class Digraph:
 
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
-        return _neighbour_tuples(*self._out_csr)
+        bounds, heads = (a.tolist() for a in self._out_csr)
+        return tuple(tuple(heads[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def _arc_rows(arcs) -> np.ndarray:
@@ -174,14 +176,6 @@ def _csr(n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     offsets = np.searchsorted(rows[:, 0], np.arange(n + 1))
     return offsets, rows[:, 1]
-
-
-def _neighbour_tuples(
-    offsets: np.ndarray, heads: np.ndarray
-) -> tuple[tuple[int, ...], ...]:
-    heads = heads.tolist()
-    bounds = offsets.tolist()
-    return tuple(tuple(heads[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def _data_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -334,17 +328,51 @@ def write_edge_list(g: Digraph, comments: Sequence[str] = ()) -> str:
     head = "".join(f"# {comment}\n" for comment in comments) + f"{g.n} {g.m}\n"
     if not g.m:
         return head
-    # One token per label, looked up per endpoint: tails carry the
-    # separating space, heads the newline. The table covers 0..max label,
-    # or only the labels in use when those are few of that range.
+    # A token for each label up to the largest, or for those in use if few.
     labels, index = range(int(g.arc_array.max()) + 1), g.arc_array
     if len(labels) > 2 * g.m:
         labels, index = np.unique(g.arc_array, return_inverse=True)
-        index = index.reshape(g.arc_array.shape)
-    tokens = np.empty((g.m, 2), dtype=object)
-    tokens[:, 0] = np.array([f"{x} " for x in labels], dtype=object)[index[:, 0]]
-    tokens[:, 1] = np.array([f"{x}\n" for x in labels], dtype=object)[index[:, 1]]
-    return head + "".join(tokens.ravel().tolist())
+        labels, index = labels.tolist(), index.reshape(g.arc_array.shape)
+    # One block: the text is returned whole, and held chunks fragment the heap.
+    tokens = list(map(str, labels))
+    return "".join(_render_rows(index, tokens, " ", "\n", head, "\n", sys.maxsize))
+
+
+# Byte budget of each block of rows rendered: small next to the APSP
+# kernel's work buffers, so that rendering does not add to peak memory.
+_RENDER_BYTES = 1 << 17
+
+
+def _render_rows(rows: np.ndarray, tokens: list[str], sep: str, row_end: str, head: str,
+                 tail: str, block_bytes: int = _RENDER_BYTES) -> Iterator[str]:
+    """The text of the integer table ``rows``, a block of rows at a time.
+
+    Entry x is ``tokens[x]`` (-1 the last token, where ``take`` wraps it)
+    followed by ``sep``, or by ``row_end`` at the end of a row; ``head``
+    comes first and ``tail`` takes the last row end's place. Every token
+    has fixed-width NUL-padded cells of ASCII bytes, one per separator. A
+    block is one ``take`` into the cells, with the row ends' cells written
+    over its last column; deleting the NULs leaves its text. Blocks stay
+    near ``block_bytes``, so memory does not grow with the rows rendered.
+    """
+    dtype = f"S{max(map(len, tokens)) + max(len(sep), len(row_end))}"
+    cells = np.array([t + sep for t in tokens], dtype=dtype)
+    ends = np.array([t + row_end for t in tokens], dtype=dtype)
+    # A block's cells, their bytes and its text are alive at once. (The
+    # intp indices that take converts the block to take no more.)
+    step = max(1, block_bytes // (3 * rows.shape[1] * cells.itemsize))
+    buf = np.empty_like(rows[:step], dtype=dtype)
+    yield head
+    for r in range(0, len(rows), step):
+        block = rows[r:r + step]
+        out = buf[:len(block)]
+        cells.take(block, out=out, mode="wrap")
+        out[:, -1] = ends.take(block[:, -1], mode="wrap")
+        text = out.tobytes().translate(None, b"\0")
+        if r + step >= len(rows):
+            text = text[:len(text) - len(row_end)]
+        yield text.decode("ascii")
+    yield tail
 
 
 def _reaches_all(offsets: np.ndarray, heads: np.ndarray) -> bool:
@@ -366,17 +394,26 @@ def _reaches_all(offsets: np.ndarray, heads: np.ndarray) -> bool:
     return count == n
 
 
+def _fails_degree_screen(g: Digraph) -> bool:
+    """Whether ``g`` has two or more vertices and one without an out-arc or an
+    in-arc. Fewer arcs than vertices decide it first, sparing a huge order any
+    n-sized array; marks set by index then copy no arc column, as bincount would.
+    """
+    if g.m < g.n:
+        return g.n > 1
+    has_arc = np.zeros((2, g.n), dtype=bool)
+    has_arc[0, g.arc_array[:, 0]] = True
+    has_arc[1, g.arc_array[:, 1]] = True
+    return not has_arc.all()
+
+
 def is_strongly_connected(g: Digraph) -> bool:
     """True iff every ordered vertex pair is joined by a directed path.
 
     Two linear-time traversals (forward from vertex 0, then along reversed
     arcs) instead of an all-pairs computation: a digraph is strongly
     connected iff vertex 0 reaches everything and everything reaches it.
+    A vertex without an out-arc or an in-arc decides it before either.
     """
-    if g.n == 1:
-        return True
-    # Every vertex needs an out-arc. Deciding here also spares a huge
-    # declared order with few arcs its n + 1 CSR offsets.
-    if g.m < g.n:
-        return False
-    return _reaches_all(*g._out_csr) and _reaches_all(*g._in_csr)
+    return (not _fails_degree_screen(g)
+            and _reaches_all(*g._out_csr) and _reaches_all(*g._in_csr))

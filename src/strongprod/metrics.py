@@ -26,7 +26,7 @@ from math import prod
 import numpy as np
 
 from .apsp import DistanceMatrix, all_pairs_distances, diameter
-from .digraph import Digraph, is_strongly_connected
+from .digraph import Digraph, _fails_degree_screen, is_strongly_connected
 from .errors import (
     ArityMismatchError,
     EmptyFactorListError,
@@ -162,15 +162,12 @@ def _factor_matrices(gs: Sequence[Digraph]) -> list[DistanceMatrix]:
     """The factors' distance matrices, each known strongly connected.
 
     A factor is strongly connected iff its matrix has no unreachable pair,
-    so the matrices stand in for a traversal. First, a factor of two or
-    more vertices with fewer arcs than vertices has a vertex without an
-    out-arc and fails at once; only the factors before the first such one
-    are then traversed, so the lowest index is still the one named.
+    so the matrices stand in for a traversal. If any factor has a vertex
+    without an out-arc or an in-arc, the factors are traversed in order
+    instead; that stops at the lowest index that fails, the one named.
     """
-    screened = next((i for i, g in enumerate(gs) if g.n > 1 and g.m < g.n), None)
-    if screened is not None:
-        _check_connected(gs[:screened])
-        raise _not_connected(screened)
+    if any(map(_fails_degree_screen, gs)):
+        _check_connected(gs)
     ds = []
     for index, g in enumerate(gs):
         d = all_pairs_distances(g)

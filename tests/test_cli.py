@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,13 @@ import strongprod
 import strongprod.cli as cli
 from strongprod.apsp import UNREACHABLE, all_pairs_distances
 from strongprod.cli import main
-from strongprod.digraph import Digraph, build_digraph, parse_edge_list, write_edge_list
+from strongprod.digraph import (
+    Digraph,
+    _render_rows,
+    build_digraph,
+    parse_edge_list,
+    write_edge_list,
+)
 from strongprod.generate import complete_digraph, directed_cycle, directed_path
 from strongprod.product import strong_product_n
 
@@ -30,6 +37,9 @@ C4_TEXT = "4 4\n0 1\n1 2\n2 3\n3 0\n"
 
 # As many arcs as vertices, but vertex 0 is a source: nothing reaches it.
 SOURCE_TEXT = "3 3\n0 1\n1 2\n2 1\n"
+
+# As many arcs as vertices, but vertex 2 is a sink: it reaches nothing.
+SINK_TEXT = "3 3\n0 1\n1 0\n1 2\n"
 
 # Two disjoint 2-cycles: every vertex has an out-arc and an in-arc.
 TWO_CYCLES_TEXT = "4 4\n0 1\n1 0\n2 3\n3 2\n"
@@ -193,6 +203,33 @@ def _reference_apsp(array, fmt):
                    for row in rows)
 
 
+# Six edge rows as indices into labels that cross from one to two and
+# from two to three digits.
+EDGE_ROWS = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]])
+EDGE_LABELS = [0, 9, 10, 99, 100, 7]
+
+
+def _edge_chunks(rows, labels, block_bytes):
+    """Rows of label indices through the shared renderer, laid out as edge lines."""
+    tokens = [str(x) for x in labels]
+    return _render_rows(rows, tokens, " ", "\n", "", "\n", block_bytes)
+
+
+def _reference_edges(rows, labels):
+    return "".join(f"{labels[u]} {labels[v]}\n" for u, v in rows.tolist())
+
+
+def _edge_tables(max_m):
+    """(m, 2) rows of indices into a list of distinct labels of up to five digits."""
+    def rows(labels):
+        index = st.integers(0, len(labels) - 1)
+        pairs = st.lists(st.tuples(index, index), min_size=1, max_size=max_m)
+        return st.tuples(pairs.map(np.array), st.just(labels))
+
+    labels = st.lists(st.integers(0, 10**4), min_size=1, max_size=12, unique=True)
+    return labels.flatmap(rows)
+
+
 def _square_arrays(max_n):
     """Square arrays of distances in [0, n) or UNREACHABLE, unrelated to any digraph."""
     return st.integers(1, max_n).flatmap(lambda n: st.lists(
@@ -201,7 +238,8 @@ def _square_arrays(max_n):
 
 
 class TestApspRendering:
-    """The byte-table renderer against a plain reference."""
+    """The shared byte-cell renderer, on apsp matrices and on edge rows,
+    against plain references."""
 
     @pytest.mark.parametrize("fmt", ["tsv", "json"])
     @pytest.mark.parametrize("g", [
@@ -218,15 +256,20 @@ class TestApspRendering:
         expected = _reference_apsp(all_pairs_distances(g).array, fmt)
         assert capsys.readouterr().out == expected
 
-    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    @pytest.mark.parametrize("fmt", ["tsv", "json", "edges"])
     def test_every_block_size(self, fmt):
         # Budgets from one row per block to all six at once, so the last row
         # ends a block of every size.
-        d = np.array([[0, 1, -1, 2, 5, 3]] * 6, dtype=np.int16)
-        expected = _reference_apsp(d, fmt)
+        if fmt == "edges":
+            render = partial(_edge_chunks, EDGE_ROWS, EDGE_LABELS)
+            expected = _reference_edges(EDGE_ROWS, EDGE_LABELS)
+        else:
+            d = np.array([[0, 1, -1, 2, 5, 3]] * 6, dtype=np.int16)
+            render = partial(cli._render, d, fmt)
+            expected = _reference_apsp(d, fmt)
         sizes = set()
         for block_bytes in range(0, 2000, 5):
-            chunks = list(cli._render(d, fmt, block_bytes))
+            chunks = list(render(block_bytes))
             sizes.add(len(chunks))
             assert "".join(chunks) == expected, block_bytes
         # Head and tail, plus 6, 3, 2 or 1 blocks of rows.
@@ -243,9 +286,12 @@ class TestApspRendering:
 
     @settings(max_examples=60, deadline=None)
     @given(d=_square_arrays(9), fmt=st.sampled_from(["tsv", "json"]),
-           block_bytes=st.integers(0, 2000))
-    def test_arbitrary_arrays(self, d, fmt, block_bytes):
+           edges=_edge_tables(40), block_bytes=st.integers(0, 2000))
+    def test_arbitrary_arrays(self, d, fmt, edges, block_bytes):
         assert "".join(cli._render(d, fmt, block_bytes)) == _reference_apsp(d, fmt)
+        rows, labels = edges
+        assert "".join(_edge_chunks(rows, labels, block_bytes)) == _reference_edges(
+            rows, labels)
 
 
 class TestProduct:
@@ -400,10 +446,17 @@ class TestAvgdist:
         (["3 0\n", C3_TEXT], 0),
         ([C3_TEXT, SOURCE_TEXT], 1),
         ([C3_TEXT, C4_TEXT, TWO_CYCLES_TEXT], 2),
-        # The source factor passes the arc-count screen and the edgeless one
-        # fails it; the lower index is still the one named.
+        # Both the source factor and the edgeless one fail the degree screen.
         ([C3_TEXT, SOURCE_TEXT, "3 0\n"], 1),
-    ], ids=["edgeless-first", "source-second", "after-connected", "first-named"])
+        # A source or a sink with an arc per vertex fails the degree screen.
+        ([SOURCE_TEXT, C3_TEXT], 0),
+        ([SINK_TEXT, C3_TEXT], 0),
+        ([C3_TEXT, SINK_TEXT], 1),
+        # Two 2-cycles pass the degree screen and the source factor fails
+        # it; the lower index is still the one named.
+        ([TWO_CYCLES_TEXT, SOURCE_TEXT], 0),
+    ], ids=["edgeless-first", "source-second", "after-connected", "first-named",
+            "source-first", "sink-first", "sink-second", "screen-passed-first"])
     def test_not_strongly_connected_contract(
             self, graph_file, capsys, texts, factor, method):
         paths = [graph_file(f"f{i}.el", None, text=text) for i, text in enumerate(texts)]

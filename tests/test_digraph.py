@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strongprod.apsp import UNREACHABLE, all_pairs_distances
@@ -338,14 +338,31 @@ class TestStrongConnectivity:
         assert not is_strongly_connected(g)
 
 
+def _reference_edge_list(g, comments=()):
+    """The edge-list text built the plain way, one line per arc."""
+    return ("".join(f"# {c}\n" for c in comments) + f"{g.n} {g.m}\n"
+            + "".join(f"{u} {v}\n" for u, v in g.arc_array.tolist()))
+
+
 def test_writer_format_is_exact():
     assert write_edge_list(directed_cycle(3)) == "3 3\n0 1\n1 2\n2 0\n"
     text = write_edge_list(complete_digraph(2), comments=("c",))
     assert text == "# c\n2 2\n0 1\n1 0\n"
+    assert write_edge_list(Digraph(4, [])) == "4 0\n"
+    # Few labels in a large range: the table holds only the labels in use.
+    sparse = Digraph(10**6, [(5, 999_999), (999_999, 5), (12, 100_000)])
+    assert write_edge_list(sparse) == "1000000 3\n5 999999\n12 100000\n999999 5\n"
+    # Labels that cross from one to two, two to three and three to four digits.
+    for g in (directed_cycle(1001), directed_path(101), sparse):
+        assert write_edge_list(g, comments=("c",)) == _reference_edge_list(g, ("c",))
 
 
-@given(digraphs(max_n=8))
-def test_write_parse_round_trip(g):
+@given(digraphs(max_n=8), st.integers(1, 10**5))
+def test_write_parse_round_trip(g, spread):
+    # Spread apart, the labels are few of their range, so the writer's
+    # table holds only the labels in use.
+    g = Digraph(g.n * spread, g.arc_array * spread)
+    assert write_edge_list(g) == _reference_edge_list(g)
     assert build_digraph(parse_edge_list(write_edge_list(g))) == g
     commented = write_edge_list(g, comments=("alpha", "beta"))
     assert build_digraph(parse_edge_list(commented)) == g
@@ -361,7 +378,14 @@ def test_adjacency_row_and_column_sums_are_degrees(g):
     assert np.all(np.diag(a) == 0)
 
 
+# An arc per vertex, and yet a source (vertex 0) or a sink (vertex 2).
+SOURCE = Digraph(3, [(0, 1), (1, 2), (2, 1)])
+SINK = Digraph(3, [(0, 1), (1, 0), (1, 2)])
+
+
 @given(digraphs(max_n=8))
+@example(SOURCE)
+@example(SINK)
 def test_strong_connectivity_matches_distance_matrix(g):
     d = all_pairs_distances(g)
     reachable = all(

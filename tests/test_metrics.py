@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import strongprod.metrics as metrics
 from strongprod.apsp import all_pairs_distances, diameter
 from strongprod.digraph import Digraph
 from strongprod.errors import (
@@ -188,6 +189,23 @@ class TestAverageDistanceProduct:
             average_distance_product_n([directed_cycle(3), directed_path(3)])
         assert info.value.factor == 1
         assert "factor 1" in str(info.value)
+
+    @pytest.mark.parametrize("method", ["counting", "naive"])
+    @pytest.mark.parametrize("factors, index", [
+        ([directed_cycle(3), Digraph(3, [(0, 1), (1, 2), (2, 1)])], 1),
+        ([Digraph(3, [(0, 1), (1, 0), (1, 2)]), directed_cycle(3)], 0),
+    ], ids=["source-second", "sink-first"])
+    def test_degree_screen_comes_before_any_matrix(
+            self, monkeypatch, factors, index, method):
+        # A source or a sink with an arc per vertex is named before any
+        # factor's distance matrix is computed.
+        def no_matrix(g):
+            raise AssertionError("distance matrix computed")
+
+        monkeypatch.setattr(metrics, "all_pairs_distances", no_matrix)
+        with pytest.raises(NotStronglyConnectedError) as info:
+            average_distance_product_n(factors, method=method)
+        assert info.value.factor == index
 
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmallError):

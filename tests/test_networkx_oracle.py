@@ -2,10 +2,11 @@
 an oracle outside this package."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strongprod.apsp import UNREACHABLE, all_pairs_distances
+from strongprod.digraph import Digraph, is_strongly_connected
 from strongprod.product import encode_label, strong_product_n
 
 from .strategies import arc_set, digraphs
@@ -25,6 +26,15 @@ def _networkx_digraph(g):
 def test_floyd_matches_networkx_shortest_path_lengths(g):
     lengths = dict(nx.all_pairs_shortest_path_length(_networkx_digraph(g)))
     assert all_pairs_distances(g).array.tolist() == _rows(lengths, range(g.n))
+
+
+@given(digraphs(max_n=12))
+@settings(max_examples=150)
+# An arc per vertex, and yet a source (vertex 0) or a sink (vertex 2).
+@example(Digraph(3, [(0, 1), (1, 2), (2, 1)]))
+@example(Digraph(3, [(0, 1), (1, 0), (1, 2)]))
+def test_strong_connectivity_matches_networkx(g):
+    assert is_strongly_connected(g) == nx.is_strongly_connected(_networkx_digraph(g))
 
 
 def _rows(lengths, nodes):
