@@ -7,8 +7,8 @@ through one renderer of byte cells, in blocks of rows of bounded size.
 
 Exit codes: 0 success, 1 usage, 2 parse or validation failure,
 3 not strongly connected, 4 size limit (the product's vertex limit, which
-bounds ``avgdist --method naive`` and ``oracle``, or a product, distance
-matrix or naive sum too large for memory). ``avgdist`` learns a factor's
+bounds ``avgdist --method naive`` and ``oracle``, or a product or
+distance matrix too large for memory). ``avgdist`` learns a factor's
 strong connectivity from its distance matrix, so a factor in which every
 vertex has an out-arc and an in-arc but whose matrix does not fit exits 4,
 connected or not; one with a vertex that lacks either exits 3 at once.

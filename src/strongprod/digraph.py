@@ -7,6 +7,7 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import re
 import sys
 from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass
@@ -50,9 +51,13 @@ _ARC_BYTES[list(b"0123456789 \t\n")] = True
 _MAX_DIGITS = 18
 _POWERS = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 
-# The header is looked for in the text up to the first newline after this
-# many characters, before the whole text.
-_HEADER_PREFIX = 1024
+# Blank and ``#`` lines, then an ``n m`` header of at most 18 ASCII digits
+# each. Every line ends in a break that ``str.splitlines`` also splits at,
+# the header also at the end of the text.
+_BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
+_HEADER = re.compile(
+    rf"(?:[ \t]*(?:#[^{_BREAKS}]*)?(?:\r\n|[{_BREAKS}]))*"
+    rf"[ \t]*([0-9]{{1,18}})[ \t]+([0-9]{{1,18}})[ \t]*(?:\r\n|[{_BREAKS}]|\Z)")
 
 # Arcs are stored as int64, whatever the order.
 _VERTEX_LIMIT = 1 << 63
@@ -204,38 +209,18 @@ def parse_edge_list(text: str) -> EdgeListDocument:
     return _parse_lines(text) if doc is None else doc
 
 
-def _header(text: str) -> tuple[str, int] | None:
-    """The header line and the offset just past its line break, if any.
-
-    Lines are split as the scanner splits them, over a prefix that ends on
-    a newline, so their numbers and ends are the text's own. The whole text
-    is split only when the prefix holds no data line.
-    """
-    cut = text.find("\n", _HEADER_PREFIX) + 1
-    for head in (text[:cut], text) if cut else (text,):
-        found = next(_data_lines(head), None)
-        if found is not None:
-            number, header = found
-            return header, sum(map(len, head.splitlines(keepends=True)[:number]))
-    return None
-
-
 def _parse_arrays(text: str) -> EdgeListDocument | None:
     """Parse a plain file in one numpy pass over its body; None for any other text.
 
-    Plain means: an ``n m`` header of ASCII digits, then only ASCII digits,
+    Plain means: a header that ``_HEADER`` matches, then only ASCII digits,
     spaces, tabs and newlines; every non-blank line holds two numbers of at
     most 18 digits, ``m`` lines in all.
     """
-    found = _header(text)
-    if found is None:
+    header = _HEADER.match(text)
+    if header is None:
         return None
-    header, start = found
-    counts = header.split()
-    if len(counts) != 2 or not all(c.isascii() and c.isdigit() for c in counts):
-        return None
-    n, m = map(int, counts)
-    body = text[start:]
+    n, m = map(int, header.groups())
+    body = text[header.end():]
     if not body.isascii():
         return None
     a = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
@@ -317,7 +302,7 @@ def build_digraph(doc: EdgeListDocument) -> Digraph:
 
 
 def load_digraph(path: str | Path) -> Digraph:
-    return build_digraph(parse_edge_list(Path(path).read_text(encoding="utf-8")))
+    return build_digraph(parse_edge_list(Path(path).read_text(encoding="utf-8-sig")))
 
 
 def write_edge_list(g: Digraph, comments: Sequence[str] = ()) -> str:

@@ -74,7 +74,7 @@ class OrderTooSmallError(StrongProdError):
 
 
 class ProductTooLargeError(StrongProdError):
-    """A product passes the vertex limit, or it or its naive sum outgrows memory."""
+    """A product passes the vertex limit, or it outgrows memory."""
 
 
 class DistanceMatrixTooLargeError(StrongProdError):

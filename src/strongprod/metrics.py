@@ -38,6 +38,9 @@ from .product import DEFAULT_MAX_PRODUCT_VERTICES, strong_product_n
 
 METHODS = ("naive", "counting", "oracle")
 
+# Most maxima the naive sum forms with one factor at a time.
+_NAIVE_BLOCK = 1 << 22
+
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -81,35 +84,27 @@ def sigma_naive_n(ds: Sequence[DistanceMatrix]) -> int:
 
     Every combination of one entry per factor (diagonal zeros included)
     is one ordered product pair, and its distance is the maximum of those
-    entries. Over one matrix this is its entry sum. Raises
-    :class:`ProductTooLargeError` when the maxima over all but the last
-    factor, which are held at once, do not fit in memory.
+    entries. Over one matrix this is its entry sum. The maxima are formed
+    depth first, in blocks of at most ``_NAIVE_BLOCK`` (or one factor's
+    entries), so about one block per factor is held however many factors.
     """
     if not ds:
         raise EmptyFactorListError("need at least one factor")
-    *outer, last = [d.finite_array().ravel() for d in ds]
-    if not outer:
-        return int(last.sum(dtype=np.int64))
-    count = prod(flat.size for flat in outer)
-    nbytes = count * np.result_type(*outer).itemsize
-    too_large = ProductTooLargeError(
-        f"the naive sum holds {count} distance maxima ({nbytes} bytes) at once, "
-        "too many for memory"
-    )
-    if nbytes > np.iinfo(np.intp).max:
-        raise too_large
-    try:
-        acc = outer[0]
-        for flat in outer[1:]:
-            acc = np.maximum.outer(acc, flat).ravel()
-        # Chunk the outer maximum so the temporary stays a few dozen MB at most.
-        chunk = max(1, (1 << 22) // last.size)
-        total = 0
-        for start in range(0, acc.size, chunk):
-            block = np.maximum.outer(acc[start:start + chunk], last)
-            total += int(block.sum(dtype=np.int64))
-    except MemoryError:
-        raise too_large from None
+    flats = [d.finite_array().ravel() for d in ds]
+    total = 0
+    # Pending maxima over the first ``depth`` factors.
+    stack = [(flats[0], 1)]
+    while stack:
+        acc, depth = stack.pop()
+        if depth == len(flats):
+            total += int(acc.sum(dtype=np.int64))
+            continue
+        chunk = max(1, _NAIVE_BLOCK // flats[depth].size)
+        if acc.size > chunk:
+            stack.extend((acc[start:start + chunk], depth)
+                         for start in range(0, acc.size, chunk))
+        else:
+            stack.append((np.maximum.outer(acc, flats[depth]).ravel(), depth + 1))
     return total
 
 

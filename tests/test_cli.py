@@ -67,9 +67,11 @@ def graph_file(tmp_path):
 
 class TestCheck:
     def test_connected(self, graph_file, capsys):
-        path = graph_file("c3.el", directed_cycle(3))
-        assert main(["check", path]) == 0
-        assert capsys.readouterr().out == '{"n":3,"m":3,"strongly_connected":true}\n'
+        # A leading byte-order mark is skipped.
+        for name, text in (("c3.el", None), ("bom.el", "\ufeff" + C3_TEXT)):
+            path = graph_file(name, directed_cycle(3), text=text)
+            assert main(["check", path]) == 0
+            assert capsys.readouterr().out == '{"n":3,"m":3,"strongly_connected":true}\n'
 
     def test_not_connected_exits_three(self, graph_file, capsys):
         path = graph_file("p3.el", directed_path(3))
@@ -404,6 +406,16 @@ class TestAvgdist:
         assert payload["diameter"] == 2
         assert payload["method"] == method
 
+    def test_naive_over_many_factors(self, graph_file, capsys):
+        # A sum that recursed once per factor would pass the recursion limit.
+        paths = [graph_file("k1.el", complete_digraph(1))] * 1200
+        paths.append(graph_file("c2.el", directed_cycle(2)))
+        assert main(["avgdist", "--method", "naive", *paths]) == 0
+        naive = capsys.readouterr().out
+        assert main(["avgdist", "--method", "counting", *paths]) == 0
+        counting = capsys.readouterr().out
+        assert naive == counting.replace('"method":"counting"', '"method":"naive"')
+
     def test_key_order_fixed(self, graph_file, capsys):
         a = graph_file("c2.el", directed_cycle(2))
         assert main(["avgdist", a, a]) == 0
@@ -580,20 +592,6 @@ def test_product_too_large_for_memory_exits_four(graph_file, argv, huge, message
     assert done.returncode == 4, done.stderr
     assert done.stdout == ""
     assert done.stderr == f"strongprod: error: {message}\n"
-
-
-def test_naive_sum_too_large_for_memory_exits_four(graph_file):
-    # Over three factors the naive sum holds the 182**4 maxima of the first
-    # two at once: 2.2 GB of int16, above the child's 2 GiB. The vertex
-    # limit is raised past the product's 66248 vertices to get there.
-    k182 = graph_file("k182.el", complete_digraph(182))
-    c2 = graph_file("c2.el", directed_cycle(2))
-    done = _run_cli_limited(["avgdist", "--method", "naive", "--max-product-vertices",
-                             "70000", k182, k182, c2], 2 << 30)
-    assert done.returncode == 4, done.stderr
-    assert done.stdout == ""
-    assert done.stderr == ("strongprod: error: the naive sum holds 1097199376 distance "
-                           "maxima (2194398752 bytes) at once, too many for memory\n")
 
 
 def test_importing_the_cli_loads_no_scipy_or_networkx():

@@ -80,6 +80,8 @@ class TestParseEdgeList:
         "# caf\u00e9\n2 1\n0 1\n",
         "# c\r\n2 1\r\n0 1\n",
         "2 1\r0 1\n",
+        "# c\x0c2 1\n0 1\n",
+        "# c\u20282 1\n0 1\n",
         "2 1\n999999999999999999 0\n",
         "#" * 5000 + "\n2 1\n0 1\n",
     ])
@@ -95,6 +97,8 @@ class TestParseEdgeList:
         "2 1\n0 1_0\n",
         "2 1\n0 \u0661\n",
         "2 1\n0\u00a01\n",
+        "2\u00a01\n0 1\n",
+        "1" * 19 + " 0\n",
         "2 1\n0 1000000000000000000\n",
         "+2 1\n0 1\n",
         "2 1\n0 1 2\n",
@@ -121,6 +125,11 @@ class TestParseEdgeList:
         for text in ("", "# only comments\n", "3\n", "a b\n", "1 2 3\n"):
             with pytest.raises(MalformedHeaderError):
                 parse_edge_list(text)
+
+    def test_header_of_many_digits_is_a_format_error(self):
+        # Past 4300 digits ``int`` refuses the text on interpreters that cap it.
+        with pytest.raises(EdgeListFormatError):
+            parse_edge_list("2" * 5000 + " 0\n0 1\n")
 
     def test_bad_arc_line(self):
         with pytest.raises(ArcLineError) as info:

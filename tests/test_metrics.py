@@ -5,6 +5,7 @@ all-pairs computation, sum the matrix) before being frozen here:
 sigma(C3 x C3) = 117, sigma(C2 x C3) = 42, sigma(K2 x K2) = 12.
 """
 
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -117,6 +118,19 @@ class TestSigma:
         with pytest.raises(NotStronglyConnectedError,
                            match="^no directed path from 1 to 0$"):
             route(D_PATH)
+
+    def test_naive_sum_holds_about_one_block_per_factor(self):
+        # C60's 3600 x 3600 maxima at once would be 26 MB of int16; a block of
+        # 2**22 is 8 MB, and one is held per factor after the first.
+        ds = [all_pairs_distances(directed_cycle(60))] * 2 + [D_C2]
+        tracemalloc.start()
+        try:
+            naive = sigma_naive_n(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert naive == sigma_counting_n(ds)
+        assert peak < 24 << 20
 
     def test_empty_factor_list(self):
         with pytest.raises(EmptyFactorListError):
