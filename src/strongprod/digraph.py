@@ -53,10 +53,12 @@ _POWERS = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 
 # Blank and ``#`` lines, then an ``n m`` header of at most 18 ASCII digits
 # each. Every line ends in a break that ``str.splitlines`` also splits at,
-# the header also at the end of the text.
+# the header also at the end of the text. Before the header a ``\r\n`` is
+# read as ``\r`` and a blank line, so each prefix has one parse and a
+# failed match backtracks in linear time.
 _BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
 _HEADER = re.compile(
-    rf"(?:[ \t]*(?:#[^{_BREAKS}]*)?(?:\r\n|[{_BREAKS}]))*"
+    rf"(?:[ \t]*(?:#[^{_BREAKS}]*)?[{_BREAKS}])*"
     rf"[ \t]*([0-9]{{1,18}})[ \t]+([0-9]{{1,18}})[ \t]*(?:\r\n|[{_BREAKS}]|\Z)")
 
 # Arcs are stored as int64, whatever the order.

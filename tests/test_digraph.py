@@ -79,6 +79,7 @@ class TestParseEdgeList:
         "# c\n\n2 1\n\n \t\n0\t 1",
         "# caf\u00e9\n2 1\n0 1\n",
         "# c\r\n2 1\r\n0 1\n",
+        "# c\r\n\r\n" * 40 + "2 1\r\n0 1\n",
         "2 1\r0 1\n",
         "# c\x0c2 1\n0 1\n",
         "# c\u20282 1\n0 1\n",
@@ -99,6 +100,9 @@ class TestParseEdgeList:
         "2 1\n0\u00a01\n",
         "2\u00a01\n0 1\n",
         "1" * 19 + " 0\n",
+        "# c\r\n" * 40,
+        "# c\r\n" * 40 + "1" * 19 + " 0\n",
+        "# c\r\n" * 40 + "2\u00a01\n0 1\n",
         "2 1\n0 1000000000000000000\n",
         "+2 1\n0 1\n",
         "2 1\n0 1 2\n",
@@ -122,7 +126,8 @@ class TestParseEdgeList:
         assert info.value.line == 3
 
     def test_malformed_header(self):
-        for text in ("", "# only comments\n", "3\n", "a b\n", "1 2 3\n"):
+        for text in ("", "# only comments\n", "3\n", "a b\n", "1 2 3\n",
+                     "# c\r\n" * 40):
             with pytest.raises(MalformedHeaderError):
                 parse_edge_list(text)
 
