@@ -3,20 +3,19 @@
 ``all_pairs_distances`` is the production path: a breadth-first search
 from every source at once on packed bits, or Floyd-Warshall once the
 search has done as much work as Floyd-Warshall is estimated to need.
-``bfs_distances`` is a deliberately separate plain-Python implementation
-kept as their oracle: all must agree exactly on every digraph, reachable
-or not.
+``bfs_distances`` is their oracle, deliberately separate from both: the
+plain-Python breadth-first walk of ``digraph`` that also decides strong
+connectivity. All must agree exactly on every digraph, reachable or not.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import Digraph, _bfs
 from .errors import DistanceMatrixTooLargeError, NotStronglyConnectedError
 
 # Marks an unreachable pair in ``DistanceMatrix.array``.
@@ -76,6 +75,9 @@ class DistanceMatrix:
         return hash((self.n, self.array.tobytes()))
 
     def entry(self, i: int, j: int) -> int | None:
+        """Distance from ``i`` to ``j``, or None when there is no path."""
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise IndexError(f"vertex pair ({i}, {j}) outside [0, {self.n})")
         e = int(self.array[i, j])
         return None if e == UNREACHABLE else e
 
@@ -295,19 +297,13 @@ def _assemble(d: np.ndarray, unreached: np.ndarray, planes: list[np.ndarray]) ->
 
 
 def bfs_distances(g: Digraph, source: int) -> tuple[int | None, ...]:
-    """Breadth-first distances from ``source``; one row of the matrix."""
+    """Breadth-first distances from ``source``; one row of the matrix.
+
+    The walk that ``is_strongly_connected`` runs, behind a range check.
+    """
     if not 0 <= source < g.n:
         raise IndexError(f"source {source} outside [0, {g.n})")
-    dist: list[int | None] = [None] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in g.successors[u]:
-            if dist[w] is None:
-                dist[w] = dist[u] + 1  # type: ignore[operator]
-                queue.append(w)
-    return tuple(dist)
+    return tuple(_bfs(g, source))
 
 
 def diameter(d: DistanceMatrix) -> int:

@@ -149,12 +149,12 @@ def cmd_apsp(args: argparse.Namespace) -> int:
 
 def cmd_product(args: argparse.Namespace) -> int:
     factors = [_load(path) for path in args.paths]
-    product = strong_product_n(factors, max_vertices=args.max_product_vertices)
     # Product distance is the maximum of the factor distances, so the
     # product is strongly connected iff every factor is.
     if args.check_connected and not all(map(is_strongly_connected, factors)):
         print("strongprod: product is not strongly connected", file=sys.stderr)
         return EXIT_NOT_STRONGLY_CONNECTED
+    product = strong_product_n(factors, max_vertices=args.max_product_vertices)
     orders = " ".join(str(g.n) for g in factors)
     comments = (
         f"strong product of {len(factors)} factors with orders {orders}",

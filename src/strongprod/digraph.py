@@ -97,7 +97,11 @@ class Digraph:
             good = int(bad.argmax())
         # Keys of rows in range are one-to-one, so before the first faulty
         # row an equal neighbour among the sorted keys is a repeated pair.
-        key = np.sort(_row_keys(rows[:good], self.n))
+        # Python integers past the keyed order, where int64 would wrap; below
+        # it int64, since a narrower input dtype would wrap.
+        dtype = object if self.n > _MAX_KEYED_ORDER else np.int64
+        keyed = rows[:good].astype(dtype, copy=False)
+        key = np.sort(keyed[:, 0] * self.n + keyed[:, 1])
         if (key[1:] == key[:-1]).any():
             seen = set()
             for u, v in rows[:good].tolist():
@@ -132,17 +136,18 @@ class Digraph:
 
     @cached_property
     def _out_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        return _csr(self.n, self.arc_array)
+        """Offsets and heads of the arcs, sorted by tail.
+
+        The heads of u's arcs are ``heads[offsets[u]:offsets[u + 1]]``.
+        """
+        offsets = np.searchsorted(self.arc_array[:, 0], np.arange(self.n + 1))
+        return offsets, self.arc_array[:, 1]
 
     @cached_property
-    def _in_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        reversed_rows = self.arc_array[:, ::-1]
-        return _csr(self.n, reversed_rows[np.argsort(_row_keys(reversed_rows, self.n))])
-
-    @cached_property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        bounds, heads = (a.tolist() for a in self._out_csr)
-        return tuple(tuple(heads[a:b]) for a, b in zip(bounds, bounds[1:]))
+    def _out_lists(self) -> tuple[list[int], list[int]]:
+        """``_out_csr`` as Python lists, for the breadth-first walk."""
+        offsets, heads = self._out_csr
+        return offsets.tolist(), heads.tolist()
 
 
 def _arc_rows(arcs) -> np.ndarray:
@@ -166,23 +171,6 @@ def _arc_rows(arcs) -> np.ndarray:
     if flat.size != 2 * len(pairs):
         raise ValueError("arcs must be (u, v) pairs")
     return flat.reshape(-1, 2)
-
-
-def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
-    """``u * n + v`` per row: ordered as the rows, one-to-one on rows in ``[0, n)``."""
-    # Python integers past the keyed order, where int64 would wrap; below
-    # it int64, since a narrower input dtype would wrap.
-    rows = rows.astype(object if n > _MAX_KEYED_ORDER else np.int64, copy=False)
-    return rows[:, 0] * n + rows[:, 1]
-
-
-def _csr(n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets and heads of rows sorted by tail.
-
-    The heads of u's arcs are ``heads[offsets[u]:offsets[u + 1]]``.
-    """
-    offsets = np.searchsorted(rows[:, 0], np.arange(n + 1))
-    return offsets, rows[:, 1]
 
 
 def _data_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -362,23 +350,19 @@ def _render_rows(rows: np.ndarray, tokens: list[str], sep: str, row_end: str, he
     yield tail
 
 
-def _reaches_all(offsets: np.ndarray, heads: np.ndarray) -> bool:
-    """Whether vertex 0 reaches every vertex of a CSR adjacency."""
-    bounds = offsets.tolist()
-    heads = heads.tolist()
-    n = len(bounds) - 1
-    seen = bytearray(n)
-    seen[0] = 1
-    count = 1
-    stack = [0]
-    while stack:
-        u = stack.pop()
+def _bfs(g: Digraph, source: int) -> list[int | None]:
+    """Breadth-first distances from ``source`` along the arcs; None where unreached."""
+    bounds, heads = g._out_lists
+    dist: list[int | None] = [None] * g.n
+    dist[source] = 0
+    order = [source]
+    for u in order:
+        d = dist[u] + 1  # type: ignore[operator]
         for w in heads[bounds[u]:bounds[u + 1]]:
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                stack.append(w)
-    return count == n
+            if dist[w] is None:
+                dist[w] = d
+                order.append(w)
+    return dist
 
 
 def _fails_degree_screen(g: Digraph) -> bool:
@@ -397,10 +381,11 @@ def _fails_degree_screen(g: Digraph) -> bool:
 def is_strongly_connected(g: Digraph) -> bool:
     """True iff every ordered vertex pair is joined by a directed path.
 
-    Two linear-time traversals (forward from vertex 0, then along reversed
-    arcs) instead of an all-pairs computation: a digraph is strongly
-    connected iff vertex 0 reaches everything and everything reaches it.
-    A vertex without an out-arc or an in-arc decides it before either.
+    A vertex without an out-arc or an in-arc decides it first. Then a
+    breadth-first walk from vertex 0, on ``g`` and on its reverse: a
+    digraph is strongly connected iff vertex 0 reaches everything and
+    everything reaches it.
     """
     return (not _fails_degree_screen(g)
-            and _reaches_all(*g._out_csr) and _reaches_all(*g._in_csr))
+            and None not in _bfs(g, 0)
+            and None not in _bfs(Digraph(g.n, g.arc_array[:, ::-1]), 0))

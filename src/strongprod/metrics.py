@@ -56,8 +56,6 @@ class MetricsReport:
 
 
 def _checked_entry(d: DistanceMatrix, x: int, y: int) -> int:
-    if not (0 <= x < d.n and 0 <= y < d.n):
-        raise IndexError(f"vertex pair ({x}, {y}) outside [0, {d.n})")
     e = d.entry(x, y)
     if e is None:
         raise NotStronglyConnectedError(f"no directed path from {x} to {y}")

@@ -98,6 +98,13 @@ class TestDistanceMatrixValue:
         assert d == all_pairs_distances(directed_path(2))
         assert d.entry(1, 0) is None
 
+    @pytest.mark.parametrize("i, j", [(0, -1), (-1, 0), (3, 0)])
+    def test_entry_outside_the_order_raises(self, i, j):
+        # numpy would wrap a negative index to another pair's distance.
+        d = all_pairs_distances(directed_path(3))
+        with pytest.raises(IndexError, match=rf"^vertex pair \({i}, {j}\) outside \[0, 3\)$"):
+            d.entry(i, j)
+
     def test_finite_array_is_the_array_itself(self):
         d = all_pairs_distances(directed_cycle(3))
         assert d.finite_array() is d.array

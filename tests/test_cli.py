@@ -361,13 +361,11 @@ class TestProduct:
         assert main(["product", a, b, "--check-connected"]) == 0
         assert capsys.readouterr().out == plain
 
-    def test_size_limit_comes_before_connectivity(self, graph_file, capsys):
+    def test_connectivity_comes_before_size_limit(self, graph_file, capsys):
         a = graph_file("p3.el", directed_path(3))
         args = ["product", a, a, "--check-connected", "--max-product-vertices", "5"]
-        assert main(args) == 4
-        assert capsys.readouterr().err == (
-            "strongprod: error: product has 9 vertices, limit is 5\n"
-        )
+        assert main(args) == 3
+        assert capsys.readouterr().err == "strongprod: product is not strongly connected\n"
 
     def test_one_file_is_usage_error(self, graph_file, capsys):
         a = graph_file("c2.el", directed_cycle(2))

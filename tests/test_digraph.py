@@ -259,6 +259,12 @@ def _predecessors_by_definition(g):
     return tuple(tuple(sorted(u for u, v in arc_set(g) if v == x)) for x in range(g.n))
 
 
+def _csr_rows(offsets, heads):
+    """The rows of a CSR adjacency as tuples of Python ints."""
+    bounds = offsets.tolist()
+    return tuple(tuple(heads[a:b].tolist()) for a, b in zip(bounds, bounds[1:]))
+
+
 class TestDigraphValue:
     @given(digraphs(max_n=8))
     def test_frozenset_and_array_build_equal_graphs(self, g):
@@ -281,12 +287,13 @@ class TestDigraphValue:
 
     @given(digraphs(max_n=8))
     def test_derived_views_match_their_definitions(self, g):
-        assert g.successors == _successors_by_definition(g)
-        offsets, tails = g._in_csr
-        bounds = offsets.tolist()
-        assert tuple(
-            tuple(tails[a:b].tolist()) for a, b in zip(bounds, bounds[1:])
-        ) == _predecessors_by_definition(g)
+        offsets, heads = g._out_csr
+        assert _csr_rows(offsets, heads) == _successors_by_definition(g)
+        bounds, head_list = g._out_lists
+        assert (bounds, head_list) == (offsets.tolist(), heads.tolist())
+        # The connectivity walk reads the reverse digraph's out-rows as in-rows.
+        reverse = Digraph(g.n, g.arc_array[:, ::-1])
+        assert _csr_rows(*reverse._out_csr) == _predecessors_by_definition(g)
         a = _dense(g)
         arcs = arc_set(g)
         for u in range(g.n):
@@ -386,8 +393,9 @@ def test_write_parse_round_trip(g, spread):
 def test_adjacency_row_and_column_sums_are_degrees(g):
     a = _dense(g)
     predecessors = _predecessors_by_definition(g)
+    out_degrees = np.diff(g._out_csr[0])
     for u in range(g.n):
-        assert a[u].sum() == len(g.successors[u])
+        assert a[u].sum() == out_degrees[u]
         assert a[:, u].sum() == len(predecessors[u])
     assert np.all(np.diag(a) == 0)
 
@@ -395,11 +403,18 @@ def test_adjacency_row_and_column_sums_are_degrees(g):
 # An arc per vertex, and yet a source (vertex 0) or a sink (vertex 2).
 SOURCE = Digraph(3, [(0, 1), (1, 2), (2, 1)])
 SINK = Digraph(3, [(0, 1), (1, 0), (1, 2)])
+# An out-arc and an in-arc at every vertex. Vertex 0 reaches everything in
+# FORWARD, so only the walk on its reverse rejects it; in BACKWARD the
+# forward walk does.
+FORWARD = Digraph(4, [(0, 1), (1, 0), (0, 2), (2, 3), (3, 2)])
+BACKWARD = Digraph(4, FORWARD.arc_array[:, ::-1])
 
 
 @given(digraphs(max_n=8))
 @example(SOURCE)
 @example(SINK)
+@example(FORWARD)
+@example(BACKWARD)
 def test_strong_connectivity_matches_distance_matrix(g):
     d = all_pairs_distances(g)
     reachable = all(
