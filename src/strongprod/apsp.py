@@ -55,6 +55,8 @@ class DistanceMatrix:
         a = np.asarray(self.array)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"distance array must be square, got shape {a.shape}")
+        if a.dtype.kind not in "iu":
+            raise TypeError(f"distances must have an integer dtype, got {a.dtype}")
         # Checked before the cast to the kernel dtype, which would wrap.
         if a.size and (a.min() < UNREACHABLE or a.max() >= a.shape[0]):
             raise ValueError("distances must lie in [0, n) or be UNREACHABLE")

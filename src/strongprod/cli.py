@@ -5,10 +5,16 @@ standard error. Output is deterministic: identical inputs give
 byte-identical output. ``apsp`` matrices and ``product`` edge lists go
 through one renderer of byte cells, in blocks of rows of bounded size.
 
-Exit codes: 0 success, 1 usage, 2 parse or validation failure,
-3 not strongly connected, 4 size limit (the product's vertex limit, which
-bounds ``avgdist --method naive`` and ``oracle``, or a product or
-distance matrix too large for memory). ``avgdist`` learns a factor's
+Exit codes: 0 success, 1 usage, 2 parse or validation failure
+(``EdgeListFormatError``, ``DigraphValidationError``, a file that cannot
+be read, or ``OrderTooSmallError``), 3 not strongly connected
+(``NotStronglyConnectedError``; ``product --check-connected`` and
+``avgdist`` name the lowest failing factor), 4 size limit
+(``ProductTooLargeError`` for the product's vertex limit, which bounds
+``avgdist --method naive`` and ``oracle``, or a product too large for
+memory; ``DistanceMatrixTooLargeError`` for a distance matrix too large
+for memory). Each ends the run with one ``strongprod: error:`` line on
+standard error. ``avgdist`` learns a factor's
 strong connectivity from its distance matrix, so a factor in which every
 vertex has an out-arc and an in-arc but whose matrix does not fit exits 4,
 connected or not; one with a vertex that lacks either exits 3 at once.
@@ -36,7 +42,7 @@ from .errors import (
     OrderTooSmallError,
     ProductTooLargeError,
 )
-from .metrics import METHODS, average_distance_product_n
+from .metrics import METHODS, _check_connected, average_distance_product_n
 from .product import DEFAULT_MAX_PRODUCT_VERTICES, strong_product_n
 
 EXIT_OK = 0
@@ -151,9 +157,8 @@ def cmd_product(args: argparse.Namespace) -> int:
     factors = [_load(path) for path in args.paths]
     # Product distance is the maximum of the factor distances, so the
     # product is strongly connected iff every factor is.
-    if args.check_connected and not all(map(is_strongly_connected, factors)):
-        print("strongprod: product is not strongly connected", file=sys.stderr)
-        return EXIT_NOT_STRONGLY_CONNECTED
+    if args.check_connected:
+        _check_connected(factors)
     product = strong_product_n(factors, max_vertices=args.max_product_vertices)
     orders = " ".join(str(g.n) for g in factors)
     comments = (

@@ -7,6 +7,7 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from collections.abc import Collection, Iterator, Sequence
@@ -18,16 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ArcCountError,
-    ArcLineError,
-    DuplicateArcError,
-    EmptyGraphError,
-    MalformedHeaderError,
-    NegativeValueError,
-    SelfLoopError,
-    VertexRangeError,
-)
+from .errors import DigraphValidationError, EdgeListFormatError
 
 
 @dataclass(frozen=True)
@@ -73,8 +65,9 @@ class Digraph:
     """Simple digraph on ``n`` vertices with its arcs in one read-only array.
 
     ``arc_array`` is an ``(m, 2)`` int64 array of ``(tail, head)`` rows,
-    sorted lexicographically. The constructor takes any iterable of pairs
-    or an integer array, in any order, each pair at most once, and checks
+    sorted lexicographically. The constructor takes an integer ``n`` and
+    any iterable of integer pairs or an integer array, in any order, each
+    pair at most once (anything else is a ``TypeError``), and checks
     it in one pass: at least one vertex, endpoints in ``[0, n)``, no
     self-loops, no repeats. Of several faults the first pair in the order
     given is reported, and of one pair's own faults a self-loop before a
@@ -85,8 +78,9 @@ class Digraph:
     arc_array: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.n < 1:
-            raise EmptyGraphError("digraph must have at least one vertex")
+            raise DigraphValidationError("digraph must have at least one vertex")
         rows = _arc_rows(self.arc_array)
         # Screen the whole array; locate the first faulty row only if there is one.
         limit = min(self.n, _VERTEX_LIMIT)
@@ -106,16 +100,16 @@ class Digraph:
             seen = set()
             for u, v in rows[:good].tolist():
                 if (u, v) in seen:
-                    raise DuplicateArcError(f"arc ({u}, {v}) listed more than once")
+                    raise DigraphValidationError(f"arc ({u}, {v}) listed more than once")
                 seen.add((u, v))
         if good < len(rows):
             u, v = rows[good].tolist()
             if u == v:
-                raise SelfLoopError(f"self-loop at vertex {u}")
+                raise DigraphValidationError(f"self-loop at vertex {u}")
             if min(u, v) < 0 or max(u, v) >= self.n:
-                raise VertexRangeError(f"arc ({u}, {v}) outside [0, {self.n})")
-            raise VertexRangeError(f"arc ({u}, {v}) outside [0, {_VERTEX_LIMIT}), "
-                                   "the vertices an arc can hold")
+                raise DigraphValidationError(f"arc ({u}, {v}) outside [0, {self.n})")
+            raise DigraphValidationError(f"arc ({u}, {v}) outside [0, {_VERTEX_LIMIT}), "
+                                         "the vertices an arc can hold")
         rows = np.stack([key // self.n, key % self.n], axis=1)
         rows = rows.astype(np.int64, copy=False)
         rows.flags.writeable = False
@@ -153,10 +147,15 @@ class Digraph:
 def _arc_rows(arcs) -> np.ndarray:
     """An ``(m, 2)`` array of the given pairs, in the given order.
 
-    An array is used as it is. A vertex too large for int64 gives an
-    object array, so that the range check still names it.
+    An integer array is used as it is; a float or bool array is a
+    ``TypeError``, where a cast would truncate it. The values of pairs,
+    and of object arrays, are read through ``operator.index``, so only
+    integers pass. A vertex too large for int64 gives an object array, so
+    that the range check still names it.
     """
-    if isinstance(arcs, np.ndarray):
+    if isinstance(arcs, np.ndarray) and arcs.dtype != object:
+        if arcs.dtype.kind not in "iu":
+            raise TypeError(f"arc array must have an integer dtype, got {arcs.dtype}")
         rows = arcs
         if rows.size == 0:
             rows = rows.reshape(0, 2)
@@ -164,10 +163,11 @@ def _arc_rows(arcs) -> np.ndarray:
             raise ValueError(f"arc array must have shape (m, 2), got {rows.shape}")
         return rows
     pairs = arcs if isinstance(arcs, Collection) else list(arcs)
+    values = list(map(operator.index, chain.from_iterable(pairs)))
     try:
-        flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64)
+        flat = np.array(values, dtype=np.int64)
     except OverflowError:
-        flat = np.array(list(chain.from_iterable(pairs)), dtype=object)
+        flat = np.array(values, dtype=object)
     if flat.size != 2 * len(pairs):
         raise ValueError("arcs must be (u, v) pairs")
     return flat.reshape(-1, 2)
@@ -252,37 +252,37 @@ def _parse_lines(text: str) -> EdgeListDocument:
     try:
         header_line, header = next(lines)
     except StopIteration:
-        raise MalformedHeaderError("missing 'n m' header line") from None
+        raise EdgeListFormatError("missing 'n m' header line") from None
     tokens = header.split()
     if len(tokens) != 2:
-        raise MalformedHeaderError(f"expected 'n m', got {header!r}", line=header_line)
+        raise EdgeListFormatError(f"expected 'n m', got {header!r}", line=header_line)
     try:
         n, m = int(tokens[0]), int(tokens[1])
     except ValueError:
-        raise MalformedHeaderError(
+        raise EdgeListFormatError(
             f"expected two integers, got {header!r}", line=header_line
         ) from None
     if n < 0 or m < 0:
-        raise NegativeValueError("counts must be nonnegative", line=header_line)
+        raise EdgeListFormatError("counts must be nonnegative", line=header_line)
 
     arcs: list[tuple[int, int]] = []
     for number, content in lines:
         if len(arcs) == m:
-            raise ArcCountError(f"more than the declared {m} arc lines", line=number)
+            raise EdgeListFormatError(f"more than the declared {m} arc lines", line=number)
         tokens = content.split()
         if len(tokens) != 2:
-            raise ArcLineError(f"expected 'u v', got {content!r}", line=number)
+            raise EdgeListFormatError(f"expected 'u v', got {content!r}", line=number)
         try:
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
-            raise ArcLineError(
+            raise EdgeListFormatError(
                 f"expected two integers, got {content!r}", line=number
             ) from None
         if u < 0 or v < 0:
-            raise NegativeValueError(f"negative vertex in arc ({u}, {v})", line=number)
+            raise EdgeListFormatError(f"negative vertex in arc ({u}, {v})", line=number)
         arcs.append((u, v))
     if len(arcs) != m:
-        raise ArcCountError(f"declared {m} arcs, found {len(arcs)}")
+        raise EdgeListFormatError(f"declared {m} arcs, found {len(arcs)}")
     return EdgeListDocument(n=n, m=m, arcs=_read_only(_arc_rows(arcs)))
 
 

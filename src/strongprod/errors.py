@@ -1,13 +1,14 @@
 """Exception types shared across the package.
 
-The CLI maps these onto its exit codes, so the hierarchy mirrors the
-failure categories: input format, digraph validity, connectivity, and
-resource limits.
+The CLI maps these onto its exit codes, so there is one class per failure
+category: input format and digraph validity (exit 2), connectivity
+(exit 3), and size limits (exit 4). Mistakes in a library call's
+arguments raise ``ValueError``, ``IndexError`` or ``TypeError``.
 """
 
 
 class StrongProdError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class of the failure categories below."""
 
 
 class EdgeListFormatError(StrongProdError):
@@ -20,40 +21,8 @@ class EdgeListFormatError(StrongProdError):
         super().__init__(message)
 
 
-class MalformedHeaderError(EdgeListFormatError):
-    """The first data line is not two integers ``n m``."""
-
-
-class ArcLineError(EdgeListFormatError):
-    """An arc line is not exactly two integers."""
-
-
-class ArcCountError(EdgeListFormatError):
-    """The number of arc lines differs from the declared count."""
-
-
-class NegativeValueError(EdgeListFormatError):
-    """A vertex index or count in the file is negative."""
-
-
 class DigraphValidationError(StrongProdError):
-    """A parsed document does not describe a valid simple digraph."""
-
-
-class SelfLoopError(DigraphValidationError):
-    pass
-
-
-class DuplicateArcError(DigraphValidationError):
-    pass
-
-
-class VertexRangeError(DigraphValidationError):
-    pass
-
-
-class EmptyGraphError(DigraphValidationError):
-    pass
+    """Arcs or an order that do not describe a valid simple digraph."""
 
 
 class NotStronglyConnectedError(StrongProdError):
@@ -63,8 +32,7 @@ class NotStronglyConnectedError(StrongProdError):
     comes from a product computation, else None.
     """
 
-    def __init__(self, message: str = "digraph is not strongly connected",
-                 factor: int | None = None):
+    def __init__(self, message: str, factor: int | None = None):
         self.factor = factor
         super().__init__(message)
 
@@ -79,15 +47,3 @@ class ProductTooLargeError(StrongProdError):
 
 class DistanceMatrixTooLargeError(StrongProdError):
     """A distance matrix, or the work arrays that compute it, do not fit in memory."""
-
-
-class EmptyFactorListError(StrongProdError):
-    """A product of zero factors was requested."""
-
-
-class ArityMismatchError(StrongProdError):
-    """Coordinate tuples and factor lists disagree in length."""
-
-
-class CoordRangeError(StrongProdError):
-    """A coordinate or flat index falls outside the factor dimensions."""

@@ -27,13 +27,7 @@ import numpy as np
 
 from .apsp import DistanceMatrix, all_pairs_distances, diameter
 from .digraph import Digraph, _fails_degree_screen, is_strongly_connected
-from .errors import (
-    ArityMismatchError,
-    EmptyFactorListError,
-    NotStronglyConnectedError,
-    OrderTooSmallError,
-    ProductTooLargeError,
-)
+from .errors import NotStronglyConnectedError, OrderTooSmallError, ProductTooLargeError
 from .product import DEFAULT_MAX_PRODUCT_VERTICES, strong_product_n
 
 METHODS = ("naive", "counting", "oracle")
@@ -69,9 +63,9 @@ def product_distance_n(
 ) -> int:
     """Distance between two coordinate tuples of an n-fold product."""
     if not ds:
-        raise EmptyFactorListError("need at least one factor")
+        raise ValueError("need at least one factor")
     if not (len(ds) == len(xs) == len(ys)):
-        raise ArityMismatchError(
+        raise ValueError(
             f"{len(ds)} factors, {len(xs)} source and {len(ys)} target coordinates"
         )
     return max(_checked_entry(d, x, y) for d, x, y in zip(ds, xs, ys))
@@ -87,7 +81,7 @@ def sigma_naive_n(ds: Sequence[DistanceMatrix]) -> int:
     entries), so about one block per factor is held however many factors.
     """
     if not ds:
-        raise EmptyFactorListError("need at least one factor")
+        raise ValueError("need at least one factor")
     flats = [d.finite_array().ravel() for d in ds]
     total = 0
     # Pending maxima over the first ``depth`` factors.
@@ -116,7 +110,7 @@ def sigma_counting_n(ds: Sequence[DistanceMatrix]) -> int:
     largest diameter D. The counts are Python ints, so sigma never wraps.
     """
     if not ds:
-        raise EmptyFactorListError("need at least one factor")
+        raise ValueError("need at least one factor")
     counts = [np.bincount(d.finite_array().ravel()) for d in ds]
     size = max(len(c) for c in counts)
     cdfs = [np.cumsum(np.pad(c, (0, size - len(c)))).tolist() for c in counts]
@@ -188,7 +182,7 @@ def average_distance_product_n(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if not gs:
-        raise EmptyFactorListError("need at least one factor")
+        raise ValueError("need at least one factor")
     # An order below 2 means every factor is a single vertex, which is
     # strongly connected, so this check can come first.
     order = prod(g.n for g in gs)

@@ -14,12 +14,7 @@ from math import prod
 import numpy as np
 
 from .digraph import Digraph
-from .errors import (
-    ArityMismatchError,
-    CoordRangeError,
-    EmptyFactorListError,
-    ProductTooLargeError,
-)
+from .errors import ProductTooLargeError
 
 # Explicit products exist to cross-check the factor-based metrics, which
 # have no such limit; keep the oracle path from accidentally exploding.
@@ -29,13 +24,11 @@ DEFAULT_MAX_PRODUCT_VERTICES = 20_000
 def encode_label(coords: Sequence[int], dims: Sequence[int]) -> int:
     """Flat index of a coordinate tuple under the row-major codec."""
     if len(coords) != len(dims):
-        raise ArityMismatchError(
-            f"{len(coords)} coordinates for {len(dims)} factors"
-        )
+        raise ValueError(f"{len(coords)} coordinates for {len(dims)} factors")
     flat = 0
     for x, dim in zip(coords, dims):
         if not 0 <= x < dim:
-            raise CoordRangeError(f"coordinate {x} outside [0, {dim})")
+            raise IndexError(f"coordinate {x} outside [0, {dim})")
         flat = flat * dim + x
     return flat
 
@@ -43,7 +36,7 @@ def encode_label(coords: Sequence[int], dims: Sequence[int]) -> int:
 def decode_label(flat: int, dims: Sequence[int]) -> tuple[int, ...]:
     """Coordinate tuple of a flat index; inverse of :func:`encode_label`."""
     if not 0 <= flat < prod(dims):
-        raise CoordRangeError(f"flat index {flat} outside [0, {prod(dims)})")
+        raise IndexError(f"flat index {flat} outside [0, {prod(dims)})")
     coords = []
     for dim in reversed(dims):
         coords.append(flat % dim)
@@ -65,7 +58,7 @@ def strong_product_n(
     do not fit in memory.
     """
     if not gs:
-        raise EmptyFactorListError("need at least one factor")
+        raise ValueError("need at least one factor")
     n = prod(g.n for g in gs)
     if n > max_vertices:
         raise ProductTooLargeError(

@@ -125,6 +125,11 @@ class TestDistanceMatrixValue:
         with pytest.raises(ValueError):
             DistanceMatrix(np.array([[0, bad], [1, 0]], dtype=np.int64))
 
+    def test_non_integer_distances_rejected(self):
+        # A cast to the kernel dtype would truncate 1.5 to 1.
+        with pytest.raises(TypeError, match="integer dtype, got float64$"):
+            DistanceMatrix([[0, 1.5], [1, 0]])
+
 
 class TestKernelDtype:
     @pytest.mark.parametrize("n, dtype", [

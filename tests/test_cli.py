@@ -350,8 +350,16 @@ class TestProduct:
         assert main(["product", a, a, "--check-connected"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "strongprod: product is not strongly connected\n"
+        assert captured.err == "strongprod: error: factor 0 is not strongly connected\n"
         assert main(["product", a, a]) == 0  # without the flag it still writes
+        capsys.readouterr()
+        # The lowest failing factor is named, after the connected ones.
+        c3 = graph_file("c3.el", directed_cycle(3))
+        p3 = graph_file("p3.el", directed_path(3))
+        assert main(["product", c3, p3, "--check-connected"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "strongprod: error: factor 1 is not strongly connected\n"
 
     def test_check_connected_passes_connected_factors(self, graph_file, capsys):
         a = graph_file("c2.el", directed_cycle(2))
@@ -365,7 +373,9 @@ class TestProduct:
         a = graph_file("p3.el", directed_path(3))
         args = ["product", a, a, "--check-connected", "--max-product-vertices", "5"]
         assert main(args) == 3
-        assert capsys.readouterr().err == "strongprod: product is not strongly connected\n"
+        assert capsys.readouterr().err == (
+            "strongprod: error: factor 0 is not strongly connected\n"
+        )
 
     def test_one_file_is_usage_error(self, graph_file, capsys):
         a = graph_file("c2.el", directed_cycle(2))

@@ -1,5 +1,7 @@
 """Edge-list parsing, digraph validation, adjacency, and connectivity."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,18 +18,7 @@ from strongprod.digraph import (
     parse_edge_list,
     write_edge_list,
 )
-from strongprod.errors import (
-    ArcCountError,
-    ArcLineError,
-    DigraphValidationError,
-    DuplicateArcError,
-    EdgeListFormatError,
-    EmptyGraphError,
-    MalformedHeaderError,
-    NegativeValueError,
-    SelfLoopError,
-    VertexRangeError,
-)
+from strongprod.errors import DigraphValidationError, EdgeListFormatError
 from strongprod.generate import complete_digraph, directed_cycle, directed_path
 
 from .strategies import arc_set, digraphs
@@ -71,7 +62,8 @@ class TestParseEdgeList:
     def test_vertex_beyond_int64_is_kept_exactly(self):
         doc = parse_edge_list(f"3 1\n0 {2**63}\n")
         assert _fields(doc) == (3, 1, [[0, 2**63]])
-        with pytest.raises(VertexRangeError, match=f"arc \\(0, {2**63}\\)"):
+        with pytest.raises(DigraphValidationError,
+                           match=f"^arc \\(0, {2**63}\\) outside \\[0, 3\\)$"):
             build_digraph(doc)
 
     @pytest.mark.parametrize("text", [
@@ -117,18 +109,25 @@ class TestParseEdgeList:
         assert _parse_arrays(text) is None
 
     def test_too_few_arcs(self):
-        with pytest.raises(ArcCountError):
+        with pytest.raises(EdgeListFormatError, match="^declared 2 arcs, found 1$"):
             parse_edge_list("3 2\n0 1")
 
     def test_too_many_arcs(self):
-        with pytest.raises(ArcCountError) as info:
+        with pytest.raises(EdgeListFormatError,
+                           match="^line 3: more than the declared 1 arc lines$") as info:
             parse_edge_list("2 1\n0 1\n1 0")
         assert info.value.line == 3
 
     def test_malformed_header(self):
-        for text in ("", "# only comments\n", "3\n", "a b\n", "1 2 3\n",
-                     "# c\r\n" * 40):
-            with pytest.raises(MalformedHeaderError):
+        for text, message in [
+            ("", "missing 'n m' header line"),
+            ("# only comments\n", "missing 'n m' header line"),
+            ("3\n", "line 1: expected 'n m', got '3'"),
+            ("a b\n", "line 1: expected two integers, got 'a b'"),
+            ("1 2 3\n", "line 1: expected 'n m', got '1 2 3'"),
+            ("# c\r\n" * 40, "missing 'n m' header line"),
+        ]:
+            with pytest.raises(EdgeListFormatError, match=f"^{re.escape(message)}$"):
                 parse_edge_list(text)
 
     def test_header_of_many_digits_is_a_format_error(self):
@@ -137,20 +136,23 @@ class TestParseEdgeList:
             parse_edge_list("2" * 5000 + " 0\n0 1\n")
 
     def test_bad_arc_line(self):
-        with pytest.raises(ArcLineError) as info:
+        with pytest.raises(EdgeListFormatError,
+                           match="^line 3: expected 'u v', got '1 2 0'$") as info:
             parse_edge_list("3 2\n0 1\n1 2 0\n")
         assert info.value.line == 3
-        with pytest.raises(ArcLineError):
+        with pytest.raises(EdgeListFormatError,
+                           match="^line 2: expected two integers, got 'x y'$"):
             parse_edge_list("2 1\nx y\n")
 
     def test_negative_values(self):
-        with pytest.raises(NegativeValueError):
+        with pytest.raises(EdgeListFormatError, match="^line 1: counts must be nonnegative$"):
             parse_edge_list("-1 0\n")
-        with pytest.raises(NegativeValueError):
+        with pytest.raises(EdgeListFormatError,
+                           match="^line 2: negative vertex in arc \\(0, -1\\)$"):
             parse_edge_list("2 1\n0 -1\n")
 
     def test_error_names_line(self):
-        with pytest.raises(ArcLineError, match="line 4"):
+        with pytest.raises(EdgeListFormatError, match="^line 4: expected 'u v'"):
             parse_edge_list("# header comment\n\n2 1\n0 1 2\n")
 
 
@@ -160,41 +162,44 @@ class TestBuildDigraph:
         assert g == directed_cycle(3)
 
     def test_self_loop_rejected(self):
-        with pytest.raises(SelfLoopError):
+        with pytest.raises(DigraphValidationError, match="^self-loop at vertex 0$"):
             build_digraph(EdgeListDocument(2, 1, ((0, 0),)))
 
     def test_duplicate_arc_rejected(self):
-        with pytest.raises(DuplicateArcError):
+        with pytest.raises(DigraphValidationError,
+                           match="^arc \\(0, 1\\) listed more than once$"):
             build_digraph(EdgeListDocument(2, 2, ((0, 1), (0, 1))))
 
     def test_vertex_out_of_range(self):
-        with pytest.raises(VertexRangeError):
+        with pytest.raises(DigraphValidationError, match="^arc \\(0, 2\\) outside \\[0, 2\\)$"):
             build_digraph(EdgeListDocument(2, 1, ((0, 2),)))
 
     def test_empty_graph_rejected(self):
-        with pytest.raises(EmptyGraphError):
+        with pytest.raises(DigraphValidationError,
+                           match="^digraph must have at least one vertex$"):
             build_digraph(EdgeListDocument(0, 0, ()))
 
-    @pytest.mark.parametrize("n, arcs, error, message", [
-        (3, ((0, 1), (0, 1), (2, 2)), DuplicateArcError,
+    # ``fault`` names the kind of fault in each case's test id.
+    @pytest.mark.parametrize("n, arcs, fault, message", [
+        (3, ((0, 1), (0, 1), (2, 2)), "DuplicateArc",
          "arc (0, 1) listed more than once"),
-        (3, ((1, 1), (0, 7)), SelfLoopError, "self-loop at vertex 1"),
-        (3, ((0, 7), (1, 1)), VertexRangeError, "arc (0, 7) outside [0, 3)"),
-        (3, ((0, 1), (0, 9), (0, 1)), VertexRangeError, "arc (0, 9) outside [0, 3)"),
-        (3, ((0, 9), (0, 9)), VertexRangeError, "arc (0, 9) outside [0, 3)"),
+        (3, ((1, 1), (0, 7)), "SelfLoop", "self-loop at vertex 1"),
+        (3, ((0, 7), (1, 1)), "VertexRange", "arc (0, 7) outside [0, 3)"),
+        (3, ((0, 1), (0, 9), (0, 1)), "VertexRange", "arc (0, 9) outside [0, 3)"),
+        (3, ((0, 9), (0, 9)), "VertexRange", "arc (0, 9) outside [0, 3)"),
         # (1, 0) and (0, 2) share the key 1 * 2 + 0 = 0 * 2 + 2
-        (2, ((1, 0), (0, 2)), VertexRangeError, "arc (0, 2) outside [0, 2)"),
-        (0, ((0, 1), (0, 1)), EmptyGraphError, "digraph must have at least one vertex"),
-        (3, ((0, 10**30),), VertexRangeError, f"arc (0, {10**30}) outside [0, 3)"),
-        (3, ((10**30, 10**30), (0, 10**30)), SelfLoopError,
+        (2, ((1, 0), (0, 2)), "VertexRange", "arc (0, 2) outside [0, 2)"),
+        (0, ((0, 1), (0, 1)), "EmptyGraph", "digraph must have at least one vertex"),
+        (3, ((0, 10**30),), "VertexRange", f"arc (0, {10**30}) outside [0, 3)"),
+        (3, ((10**30, 10**30), (0, 10**30)), "SelfLoop",
          f"self-loop at vertex {10**30}"),
-        (3, ((0, -1),), VertexRangeError, "arc (0, -1) outside [0, 3)"),
-        (2**64, ((-1, 2**63),), VertexRangeError, f"arc (-1, {2**63}) outside [0, {2**64})"),
-        (2**64, ((0, 2**63),), VertexRangeError,
+        (3, ((0, -1),), "VertexRange", "arc (0, -1) outside [0, 3)"),
+        (2**64, ((-1, 2**63),), "VertexRange", f"arc (-1, {2**63}) outside [0, {2**64})"),
+        (2**64, ((0, 2**63),), "VertexRange",
          f"arc (0, {2**63}) outside [0, {2**63}), the vertices an arc can hold"),
     ])
-    def test_first_faulty_arc_in_file_order_is_reported(self, n, arcs, error, message):
-        with pytest.raises(error) as info:
+    def test_first_faulty_arc_in_file_order_is_reported(self, n, arcs, fault, message):
+        with pytest.raises(DigraphValidationError) as info:
             build_digraph(EdgeListDocument(n, len(arcs), arcs))
         assert str(info.value) == message
 
@@ -220,26 +225,27 @@ class TestBuildDigraph:
                 assert arc_set(g) == set(arcs) and g.m == len(arcs)
 
     def test_digraph_constructor_validates(self):
-        with pytest.raises(EmptyGraphError):
+        with pytest.raises(DigraphValidationError,
+                           match="^digraph must have at least one vertex$"):
             Digraph(0, frozenset())
-        with pytest.raises(SelfLoopError):
+        with pytest.raises(DigraphValidationError, match="^self-loop at vertex 1$"):
             Digraph(2, frozenset({(1, 1)}))
-        with pytest.raises(VertexRangeError):
+        with pytest.raises(DigraphValidationError, match="^arc \\(0, 5\\) outside \\[0, 2\\)$"):
             Digraph(2, frozenset({(0, 5)}))
 
 
 def _first_fault_by_definition(n, arcs):
     """(error type, message) for the first faulty arc in order, or None."""
     if n < 1:
-        return EmptyGraphError, "digraph must have at least one vertex"
+        return DigraphValidationError, "digraph must have at least one vertex"
     seen = set()
     for u, v in arcs:
         if u == v:
-            return SelfLoopError, f"self-loop at vertex {u}"
+            return DigraphValidationError, f"self-loop at vertex {u}"
         if min(u, v) < 0 or max(u, v) >= n:
-            return VertexRangeError, f"arc ({u}, {v}) outside [0, {n})"
+            return DigraphValidationError, f"arc ({u}, {v}) outside [0, {n})"
         if (u, v) in seen:
-            return DuplicateArcError, f"arc ({u}, {v}) listed more than once"
+            return DigraphValidationError, f"arc ({u}, {v}) listed more than once"
         seen.add((u, v))
     return None
 
@@ -310,9 +316,27 @@ class TestDigraphValue:
         assert Digraph(g.n, np.array(pairs, dtype=np.int32).reshape(-1, 2)) == g
         if pairs:
             u, v = pairs[-1]
-            with pytest.raises(DuplicateArcError,
+            with pytest.raises(DigraphValidationError,
                                match=f"^arc \\({u}, {v}\\) listed more than once$"):
                 Digraph(g.n, pairs + [pairs[-1]])
+
+    @pytest.mark.parametrize("n, arcs", [
+        (2, np.array([[0.5, 1.9]])),
+        (3, [(0.7, 2.2)]),
+        (3, np.array([[0, 1.5]], dtype=object)),
+        (2, np.array([[True, False]])),
+        (2.5, [(0, 1)]),
+    ], ids=["float-array", "float-pairs", "float-object-array", "bool-array",
+            "float-order"])
+    def test_values_that_are_not_integers_are_rejected(self, n, arcs):
+        # Casts to int64 would truncate them to other arcs and orders.
+        with pytest.raises(TypeError):
+            Digraph(n, arcs)
+
+    def test_numpy_integers_are_integers(self):
+        g = Digraph(np.int64(3), [(np.int32(0), np.uint8(1))])
+        assert g == Digraph(3, [(0, 1)])
+        assert type(g.n) is int
 
     def test_int32_rows_are_keyed_without_wrapping(self):
         # 49999 * 50000 + 1 does not fit in int32.

@@ -15,12 +15,7 @@ from hypothesis import given, settings, strategies as st
 import strongprod.metrics as metrics
 from strongprod.apsp import all_pairs_distances, diameter
 from strongprod.digraph import Digraph
-from strongprod.errors import (
-    ArityMismatchError,
-    EmptyFactorListError,
-    NotStronglyConnectedError,
-    OrderTooSmallError,
-)
+from strongprod.errors import NotStronglyConnectedError, OrderTooSmallError
 from strongprod.generate import complete_digraph, directed_cycle, directed_path
 from strongprod.metrics import (
     _decimal_12sig,
@@ -83,9 +78,10 @@ class TestProductDistanceN:
         assert explicit.entry(0, (2 * 3 + 1) * 2 + 1) == 2
 
     def test_arity_mismatch(self):
-        with pytest.raises(ArityMismatchError):
+        with pytest.raises(ValueError,
+                           match="^2 factors, 3 source and 2 target coordinates$"):
             product_distance_n([D_C3, D_C2], (0, 0, 0), (1, 1))
-        with pytest.raises(EmptyFactorListError):
+        with pytest.raises(ValueError, match="^need at least one factor$"):
             product_distance_n([], (), ())
 
 
@@ -133,9 +129,9 @@ class TestSigma:
         assert peak < 24 << 20
 
     def test_empty_factor_list(self):
-        with pytest.raises(EmptyFactorListError):
+        with pytest.raises(ValueError, match="^need at least one factor$"):
             sigma_naive_n([])
-        with pytest.raises(EmptyFactorListError):
+        with pytest.raises(ValueError, match="^need at least one factor$"):
             sigma_counting_n([])
 
 
@@ -239,7 +235,7 @@ class TestAverageDistanceProduct:
             )
 
     def test_empty_factor_list(self):
-        with pytest.raises(EmptyFactorListError):
+        with pytest.raises(ValueError, match="^need at least one factor$"):
             average_distance_product_n([])
 
     def test_single_vertex_factor_reduces_to_other(self):
