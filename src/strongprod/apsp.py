@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .digraph import Digraph, _bfs
+from .digraph import Digraph, _bfs, _integer
 from .errors import DistanceMatrixTooLargeError, NotStronglyConnectedError
 
 # Marks an unreachable pair in ``DistanceMatrix.array``.
@@ -78,6 +78,7 @@ class DistanceMatrix:
 
     def entry(self, i: int, j: int) -> int | None:
         """Distance from ``i`` to ``j``, or None when there is no path."""
+        i, j = _integer(i), _integer(j)
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError(f"vertex pair ({i}, {j}) outside [0, {self.n})")
         e = int(self.array[i, j])
@@ -165,7 +166,7 @@ _WORD = np.dtype("<u8")
 
 
 def _bfs_level_budget(n: int, m: int) -> int:
-    """Levels the packed BFS may run before Floyd-Warshall takes over.
+    """Largest distance the packed BFS may find before Floyd-Warshall takes over.
 
     The search gives up once its levels' work passes the estimate for
     Floyd-Warshall, so an input that needs many levels over many arcs
@@ -232,8 +233,10 @@ def _bfs_fill(d: np.ndarray, g: Digraph, max_levels: int) -> bool:
     one ``reduceat`` and keeps the targets v has not reached yet. Plane p
     collects the targets first reached at a level whose bit p is set, so
     the planes spell every distance in binary. Returns False, leaving
-    ``d`` unwritten, when the search would need more than ``max_levels``
-    levels; ``g.n`` levels always suffice.
+    ``d`` unwritten, when a level past ``max_levels`` still reaches new
+    targets, that is when a distance exceeds ``max_levels``; the level
+    that reaches nothing and ends the search does not count against it.
+    ``g.n - 1`` levels always suffice.
     """
     n = g.n
     words = -(-n // 64)
@@ -251,8 +254,6 @@ def _bfs_fill(d: np.ndarray, g: Digraph, max_levels: int) -> bool:
     planes: list[np.ndarray] = []
     level = 1
     while True:
-        if level > max_levels:
-            return False
         for tails, heads, starts in chunks:
             if starts is None:
                 frontier.take(heads, axis=0, out=new[tails], mode="clip")
@@ -262,6 +263,8 @@ def _bfs_fill(d: np.ndarray, g: Digraph, max_levels: int) -> bool:
         np.bitwise_and(new, unreached, out=new)
         if not np.count_nonzero(new):
             break
+        if level > max_levels:
+            return False
         # Over a run of levels with bit p set, the targets first reached
         # are the unreached set at its start XOR the one at its end: XOR
         # the unreached set into plane p wherever bit p flips. A run still
@@ -303,6 +306,7 @@ def bfs_distances(g: Digraph, source: int) -> tuple[int | None, ...]:
 
     The walk that ``is_strongly_connected`` runs, behind a range check.
     """
+    source = _integer(source)
     if not 0 <= source < g.n:
         raise IndexError(f"source {source} outside [0, {g.n})")
     return tuple(_bfs(g, source))

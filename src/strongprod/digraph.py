@@ -52,6 +52,7 @@ _BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
 _HEADER = re.compile(
     rf"(?:[ \t]*(?:#[^{_BREAKS}]*)?[{_BREAKS}])*"
     rf"[ \t]*([0-9]{{1,18}})[ \t]+([0-9]{{1,18}})[ \t]*(?:\r\n|[{_BREAKS}]|\Z)")
+_LINE_BREAK = re.compile(f"[{_BREAKS}]")
 
 # Arcs are stored as int64, whatever the order.
 _VERTEX_LIMIT = 1 << 63
@@ -67,18 +68,18 @@ class Digraph:
     ``arc_array`` is an ``(m, 2)`` int64 array of ``(tail, head)`` rows,
     sorted lexicographically. The constructor takes an integer ``n`` and
     any iterable of integer pairs or an integer array, in any order, each
-    pair at most once (anything else is a ``TypeError``), and checks
-    it in one pass: at least one vertex, endpoints in ``[0, n)``, no
-    self-loops, no repeats. Of several faults the first pair in the order
-    given is reported, and of one pair's own faults a self-loop before a
-    range error. Equal digraphs compare and hash equal.
+    pair at most once (anything else, a bool too, is a ``TypeError``),
+    and checks it in one pass: at least one vertex, endpoints in
+    ``[0, n)``, no self-loops, no repeats. Of several faults the first
+    pair in the order given is reported, and of one pair's own faults a
+    self-loop before a range error. Equal digraphs compare and hash equal.
     """
 
     n: int
     arc_array: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "n", _integer(self.n))
         if self.n < 1:
             raise DigraphValidationError("digraph must have at least one vertex")
         rows = _arc_rows(self.arc_array)
@@ -144,14 +145,21 @@ class Digraph:
         return offsets.tolist(), heads.tolist()
 
 
+def _integer(value) -> int:
+    """``operator.index(value)``, but a bool is a ``TypeError`` too."""
+    if isinstance(value, bool):
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return operator.index(value)
+
+
 def _arc_rows(arcs) -> np.ndarray:
     """An ``(m, 2)`` array of the given pairs, in the given order.
 
     An integer array is used as it is; a float or bool array is a
     ``TypeError``, where a cast would truncate it. The values of pairs,
-    and of object arrays, are read through ``operator.index``, so only
-    integers pass. A vertex too large for int64 gives an object array, so
-    that the range check still names it.
+    and of object arrays, are read through ``_integer``, so only integers
+    pass. A vertex too large for int64 gives an object array, so that the
+    range check still names it.
     """
     if isinstance(arcs, np.ndarray) and arcs.dtype != object:
         if arcs.dtype.kind not in "iu":
@@ -163,7 +171,7 @@ def _arc_rows(arcs) -> np.ndarray:
             raise ValueError(f"arc array must have shape (m, 2), got {rows.shape}")
         return rows
     pairs = arcs if isinstance(arcs, Collection) else list(arcs)
-    values = list(map(operator.index, chain.from_iterable(pairs)))
+    values = list(map(_integer, chain.from_iterable(pairs)))
     try:
         flat = np.array(values, dtype=np.int64)
     except OverflowError:
@@ -171,15 +179,6 @@ def _arc_rows(arcs) -> np.ndarray:
     if flat.size != 2 * len(pairs):
         raise ValueError("arcs must be (u, v) pairs")
     return flat.reshape(-1, 2)
-
-
-def _data_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, stripped content), skipping blanks and #-comments."""
-    for number, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield number, stripped
 
 
 def parse_edge_list(text: str) -> EdgeListDocument:
@@ -248,42 +247,40 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def _parse_lines(text: str) -> EdgeListDocument:
     """Parse edge-list text line by line, raising on the first fault."""
-    lines = _data_lines(text)
-    try:
-        header_line, header = next(lines)
-    except StopIteration:
-        raise EdgeListFormatError("missing 'n m' header line") from None
-    tokens = header.split()
-    if len(tokens) != 2:
-        raise EdgeListFormatError(f"expected 'n m', got {header!r}", line=header_line)
-    try:
-        n, m = int(tokens[0]), int(tokens[1])
-    except ValueError:
-        raise EdgeListFormatError(
-            f"expected two integers, got {header!r}", line=header_line
-        ) from None
+    stripped = (raw.strip() for raw in text.splitlines())
+    lines = ((number, content) for number, content in enumerate(stripped, start=1)
+             if content and not content.startswith("#"))
+    header = next(lines, None)
+    if header is None:
+        raise EdgeListFormatError("missing 'n m' header line")
+    n, m = _two_integers(*header, "n m")
     if n < 0 or m < 0:
-        raise EdgeListFormatError("counts must be nonnegative", line=header_line)
+        raise EdgeListFormatError("counts must be nonnegative", line=header[0])
 
     arcs: list[tuple[int, int]] = []
     for number, content in lines:
         if len(arcs) == m:
             raise EdgeListFormatError(f"more than the declared {m} arc lines", line=number)
-        tokens = content.split()
-        if len(tokens) != 2:
-            raise EdgeListFormatError(f"expected 'u v', got {content!r}", line=number)
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise EdgeListFormatError(
-                f"expected two integers, got {content!r}", line=number
-            ) from None
+        u, v = _two_integers(number, content, "u v")
         if u < 0 or v < 0:
             raise EdgeListFormatError(f"negative vertex in arc ({u}, {v})", line=number)
         arcs.append((u, v))
     if len(arcs) != m:
         raise EdgeListFormatError(f"declared {m} arcs, found {len(arcs)}")
     return EdgeListDocument(n=n, m=m, arcs=_read_only(_arc_rows(arcs)))
+
+
+def _two_integers(number: int, content: str, form: str) -> tuple[int, int]:
+    """The two integers of data line ``number``, which should read ``form``."""
+    tokens = content.split()
+    if len(tokens) != 2:
+        raise EdgeListFormatError(f"expected {form!r}, got {content!r}", line=number)
+    try:
+        return int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise EdgeListFormatError(
+            f"expected two integers, got {content!r}", line=number
+        ) from None
 
 
 def build_digraph(doc: EdgeListDocument) -> Digraph:
@@ -299,7 +296,12 @@ def write_edge_list(g: Digraph, comments: Sequence[str] = ()) -> str:
     """Render ``g`` in the edge-list format, arcs in lexicographic order.
 
     Inverse of ``parse_edge_list`` + ``build_digraph`` (comments aside).
+    A comment holding a line break, one that ``str.splitlines`` splits at,
+    is a ``ValueError``: the text would not parse back.
     """
+    for comment in comments:
+        if _LINE_BREAK.search(comment):
+            raise ValueError(f"comment {comment!r} holds a line break")
     head = "".join(f"# {comment}\n" for comment in comments) + f"{g.n} {g.m}\n"
     if not g.m:
         return head

@@ -13,7 +13,7 @@ from math import prod
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import Digraph, _integer
 from .errors import ProductTooLargeError
 
 # Explicit products exist to cross-check the factor-based metrics, which
@@ -26,7 +26,7 @@ def encode_label(coords: Sequence[int], dims: Sequence[int]) -> int:
     if len(coords) != len(dims):
         raise ValueError(f"{len(coords)} coordinates for {len(dims)} factors")
     flat = 0
-    for x, dim in zip(coords, dims):
+    for x, dim in zip(map(_integer, coords), map(_integer, dims)):
         if not 0 <= x < dim:
             raise IndexError(f"coordinate {x} outside [0, {dim})")
         flat = flat * dim + x
@@ -35,6 +35,7 @@ def encode_label(coords: Sequence[int], dims: Sequence[int]) -> int:
 
 def decode_label(flat: int, dims: Sequence[int]) -> tuple[int, ...]:
     """Coordinate tuple of a flat index; inverse of :func:`encode_label`."""
+    flat, dims = _integer(flat), [_integer(dim) for dim in dims]
     if not 0 <= flat < prod(dims):
         raise IndexError(f"flat index {flat} outside [0, {prod(dims)})")
     coords = []

@@ -330,6 +330,10 @@ def _half_clique_and_path(n):
     (_half_clique_and_path(200), 1),
     (directed_cycle(200), 0),
     (_family("dense", 129), 0),
+    # Diameter equal to the level budget: the last level, which reaches
+    # nothing, does not count against it.
+    (directed_cycle(30), 0),
+    (directed_path(31), 0),
 ])
 def test_floyd_warshall_runs_only_past_the_work_bound(g, floyd_runs, monkeypatch):
     calls = []
@@ -343,6 +347,16 @@ def test_floyd_warshall_runs_only_past_the_work_bound(g, floyd_runs, monkeypatch
     assert len(calls) == floyd_runs
     assert d.array.dtype == _kernel_dtype(g.n) and d.array.flags.c_contiguous
     assert np.array_equal(d.array, packed_bfs(g))
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: bfs_distances(g, True),
+    lambda g: all_pairs_distances(g).entry(True, 2),
+], ids=["bfs_distances", "entry"])
+def test_bool_vertices_are_rejected(call):
+    # A bool is an int to Python, but not a vertex.
+    with pytest.raises(TypeError, match="^'bool' object cannot be interpreted as an integer$"):
+        call(directed_cycle(3))
 
 
 def test_an_order_past_numpy_sizes_is_named():

@@ -620,12 +620,3 @@ def test_python_dash_m_runs_the_cli(graph_file):
                               capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == 3, module
         assert done.stdout == '{"n":3,"m":2,"strongly_connected":false}\n', module
-
-
-def test_verify_formula_script_passes():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "verify_formula.py"
-    done = subprocess.run(
-        [sys.executable, str(script), "--pairs", "3", "--triples", "1", "--seed", "0"],
-        capture_output=True, text=True, env=_child_env(), timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1].startswith("OK: ")

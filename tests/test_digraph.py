@@ -155,6 +155,30 @@ class TestParseEdgeList:
         with pytest.raises(EdgeListFormatError, match="^line 4: expected 'u v'"):
             parse_edge_list("# header comment\n\n2 1\n0 1 2\n")
 
+    @pytest.mark.parametrize("content, header_message, arc_message", [
+        ("3", "expected 'n m', got '3'", "expected 'u v', got '3'"),
+        ("3 3 3", "expected 'n m', got '3 3 3'", "expected 'u v', got '3 3 3'"),
+        ("0", "expected 'n m', got '0'", "expected 'u v', got '0'"),
+        ("0 1 2", "expected 'n m', got '0 1 2'", "expected 'u v', got '0 1 2'"),
+        ("3 x", "expected two integers, got '3 x'", "expected two integers, got '3 x'"),
+        ("x y", "expected two integers, got 'x y'", "expected two integers, got 'x y'"),
+        ("2 -1", "counts must be nonnegative", "negative vertex in arc (2, -1)"),
+    ])
+    @pytest.mark.parametrize("where", ["header", "arc"])
+    def test_header_and_arc_lines_share_one_rule(self, where, content, header_message,
+                                                 arc_message):
+        # Blank, '#' and CRLF lines come first; the fault is on line 4 or 8.
+        lead = "\r\n# comment\r\n \t\r\n"
+        if where == "header":
+            text, line, message = f"{lead}{content}\r\n0 1\r\n", 4, header_message
+        else:
+            text = f"{lead}3 3\r\n# arcs\r\n\r\n0 1\r\n{content}\r\n1 2\r\n"
+            line, message = 8, arc_message
+        with pytest.raises(EdgeListFormatError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == f"line {line}: {message}"
+        assert info.value.line == line
+
 
 class TestBuildDigraph:
     def test_three_cycle(self):
@@ -326,8 +350,10 @@ class TestDigraphValue:
         (3, np.array([[0, 1.5]], dtype=object)),
         (2, np.array([[True, False]])),
         (2.5, [(0, 1)]),
+        (2, [(True, False)]),
+        (True, []),
     ], ids=["float-array", "float-pairs", "float-object-array", "bool-array",
-            "float-order"])
+            "float-order", "bool-pairs", "bool-order"])
     def test_values_that_are_not_integers_are_rejected(self, n, arcs):
         # Casts to int64 would truncate them to other arcs and orders.
         with pytest.raises(TypeError):
@@ -411,6 +437,21 @@ def test_write_parse_round_trip(g, spread):
     assert build_digraph(parse_edge_list(write_edge_list(g))) == g
     commented = write_edge_list(g, comments=("alpha", "beta"))
     assert build_digraph(parse_edge_list(commented)) == g
+
+
+@pytest.mark.parametrize("comment", ["a\nb", "x\ry", "x\u2028y"])
+def test_a_comment_with_a_line_break_is_refused(comment):
+    # Written, its second line would be read as the header.
+    with pytest.raises(ValueError, match="line break"):
+        write_edge_list(directed_cycle(3), comments=[comment])
+
+
+_NO_BREAK = st.text().filter(lambda c: "".join(c.splitlines()) == c)
+
+
+@given(digraphs(max_n=5), st.lists(_NO_BREAK, max_size=3))
+def test_comments_without_a_line_break_round_trip(g, comments):
+    assert build_digraph(parse_edge_list(write_edge_list(g, comments))) == g
 
 
 @given(digraphs(max_n=8))

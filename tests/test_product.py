@@ -44,6 +44,19 @@ class TestLabelCodec:
         with pytest.raises(ValueError, match="^3 coordinates for 2 factors$"):
             encode_label((1, 2, 3), (2, 3))
 
+    @pytest.mark.parametrize("call", [
+        lambda: encode_label((0.5, 1), (2, 3)),
+        lambda: encode_label((True, 1), (2, 3)),
+        lambda: encode_label((1, 1), (2.5, 3)),
+        lambda: decode_label(2.5, (2, 3)),
+        lambda: decode_label(True, (2, 3)),
+        lambda: decode_label(1, (2.5, 3)),
+    ], ids=["float-coordinate", "bool-coordinate", "float-dim", "float-flat",
+            "bool-flat", "float-dim-decoded"])
+    def test_values_that_are_not_integers_are_rejected(self, call):
+        with pytest.raises(TypeError):
+            call()
+
 
 @given(digraphs(min_n=1, max_n=5), digraphs(min_n=1, max_n=5))
 def test_codec_round_trip_over_product_vertices(g1, g2):
