@@ -142,9 +142,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def _render(d: np.ndarray, fmt: str, block_bytes: int = _RENDER_BYTES) -> Iterator[str]:
     """The text of the distance array ``d`` in ``fmt``, a block of rows at a time."""
-    unreachable, *layout = _LAYOUTS[fmt]
-    tokens = [*map(str, range(len(d))), unreachable]  # UNREACHABLE (-1) takes the last
-    return _render_rows(d, tokens, *layout, block_bytes)
+    # Labels are the distances 0..n-1; UNREACHABLE (-1) takes the extra token.
+    return _render_rows(d, np.arange(len(d)), *_LAYOUTS[fmt], block_bytes)
 
 
 def cmd_apsp(args: argparse.Namespace) -> int:

@@ -92,11 +92,11 @@ class Digraph:
             good = int(bad.argmax())
         # Keys of rows in range are one-to-one, so before the first faulty
         # row an equal neighbour among the sorted keys is a repeated pair.
-        # Python integers past the keyed order, where int64 would wrap; below
-        # it int64, since a narrower input dtype would wrap.
-        dtype = object if self.n > _MAX_KEYED_ORDER else np.int64
-        keyed = rows[:good].astype(dtype, copy=False)
-        key = np.sort(keyed[:, 0] * self.n + keyed[:, 1])
+        # Rows in range fit the key dtype, whatever their own (object too).
+        key = rows[:good, 0].astype(_key_dtype(self.n))
+        key *= self.n
+        np.add(key, rows[:good, 1], out=key, casting="unsafe")
+        key.sort()
         if (key[1:] == key[:-1]).any():
             seen = set()
             for u, v in rows[:good].tolist():
@@ -111,10 +111,22 @@ class Digraph:
                 raise DigraphValidationError(f"arc ({u}, {v}) outside [0, {self.n})")
             raise DigraphValidationError(f"arc ({u}, {v}) outside [0, {_VERTEX_LIMIT}), "
                                          "the vertices an arc can hold")
-        rows = np.stack([key // self.n, key % self.n], axis=1)
-        rows = rows.astype(np.int64, copy=False)
-        rows.flags.writeable = False
-        object.__setattr__(self, "arc_array", rows)
+        rows = np.empty((len(key), 2), dtype=np.int64)
+        object.__setattr__(self, "arc_array", _key_rows(key, self.n, rows))
+
+    @classmethod
+    def _from_sorted_keys(cls, n: int, keys: np.ndarray, rows: np.ndarray) -> Digraph:
+        """The digraph on ``n`` vertices whose arcs have the keys ``u * n + v``,
+        written to ``rows``, an ``(m, 2)`` int64 array.
+
+        Nothing is checked: ``n`` must be a Python int of at least 1 and
+        ``keys`` strictly increasing keys of arcs in range without
+        self-loops, in a dtype that ``_key_dtype(n)`` allows.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "arc_array", _key_rows(keys, n, rows))
+        return g
 
     @property
     def m(self) -> int:
@@ -143,6 +155,30 @@ class Digraph:
         """``_out_csr`` as Python lists, for the breadth-first walk."""
         offsets, heads = self._out_csr
         return offsets.tolist(), heads.tolist()
+
+
+def _key_dtype(n: int) -> np.dtype:
+    """The narrowest dtype that holds every arc key ``u * n + v`` of order ``n``.
+
+    The keys are below ``n * n``: int32 while that is below 2**31, int64 up
+    to ``_MAX_KEYED_ORDER``, Python ints (object) past it, where int64
+    would wrap.
+    """
+    if n * n < 1 << 31:
+        return np.dtype(np.int32)
+    return np.dtype(np.int64 if n <= _MAX_KEYED_ORDER else object)
+
+
+def _key_rows(keys: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
+    """``rows``, made read-only, after writing the keys' rows ``divmod(key, n)``.
+
+    Floor division and a product, not ``np.divmod``: numpy divides by a
+    scalar faster so, and has no divmod of Python ints (object keys).
+    """
+    tails = keys // n
+    rows[:, 0] = tails
+    rows[:, 1] = keys - tails * n
+    return _read_only(rows)
 
 
 def _integer(value) -> int:
@@ -305,14 +341,15 @@ def write_edge_list(g: Digraph, comments: Sequence[str] = ()) -> str:
     head = "".join(f"# {comment}\n" for comment in comments) + f"{g.n} {g.m}\n"
     if not g.m:
         return head
-    # A token for each label up to the largest, or for those in use if few.
-    labels, index = range(int(g.arc_array.max()) + 1), g.arc_array
-    if len(labels) > 2 * g.m:
+    # Every label up to the largest, or those in use if fewer.
+    top = int(g.arc_array.max())
+    if top < 2 * g.m:
+        labels, index = np.arange(top + 1), g.arc_array
+    else:
         labels, index = np.unique(g.arc_array, return_inverse=True)
-        labels, index = labels.tolist(), index.reshape(g.arc_array.shape)
+        index = index.reshape(g.arc_array.shape)
     # One block: the text is returned whole, and held chunks fragment the heap.
-    tokens = list(map(str, labels))
-    return "".join(_render_rows(index, tokens, " ", "\n", head, "\n", sys.maxsize))
+    return "".join(_render_rows(index, labels, None, " ", "\n", head, "\n", sys.maxsize))
 
 
 # Byte budget of each block of rows rendered: small next to the APSP
@@ -320,36 +357,65 @@ def write_edge_list(g: Digraph, comments: Sequence[str] = ()) -> str:
 _RENDER_BYTES = 1 << 17
 
 
-def _render_rows(rows: np.ndarray, tokens: list[str], sep: str, row_end: str, head: str,
-                 tail: str, block_bytes: int = _RENDER_BYTES) -> Iterator[str]:
+def _render_rows(rows: np.ndarray, labels: np.ndarray, extra: str | None, sep: str,
+                 row_end: str, head: str, tail: str,
+                 block_bytes: int = _RENDER_BYTES) -> Iterator[str]:
     """The text of the integer table ``rows``, a block of rows at a time.
 
-    Entry x is ``tokens[x]`` (-1 the last token, where ``take`` wraps it)
-    followed by ``sep``, or by ``row_end`` at the end of a row; ``head``
-    comes first and ``tail`` takes the last row end's place. Every token
-    has fixed-width NUL-padded cells of ASCII bytes, one per separator. A
-    block is one ``take`` into the cells, with the row ends' cells written
-    over its last column; deleting the NULs leaves its text. Blocks stay
-    near ``block_bytes``, so memory does not grow with the rows rendered.
+    Entry x is the decimal ``labels[x]``, or ``extra`` where x is -1 (the
+    last cell, where ``take`` wraps it), followed by ``sep``, or by
+    ``row_end`` at the end of a row; ``head`` comes first and ``tail``
+    takes the last row end's place. Each label, and ``extra``, has a
+    fixed-width cell of ASCII bytes: the token right-aligned and
+    NUL-padded, then a separator field as wide as the longer of ``sep``
+    and ``row_end``, with ``sep`` at its start. A block is one ``take``
+    into the cells, then one strided store writes ``row_end`` over the
+    separator field of each row's last cell; deleting the NULs leaves its
+    text. Blocks stay near ``block_bytes``, so memory does not grow with
+    the rows rendered.
     """
-    dtype = f"S{max(map(len, tokens)) + max(len(sep), len(row_end))}"
-    cells = np.array([t + sep for t in tokens], dtype=dtype)
-    ends = np.array([t + row_end for t in tokens], dtype=dtype)
+    field = max(len(sep), len(row_end))
+    table = _cell_table(labels, extra, sep, field)
+    cells = table.view(f"S{table.shape[1]}").ravel()
+    end = np.zeros(field, dtype=np.uint8)
+    end[:len(row_end)] = list(row_end.encode("ascii"))
     # A block's cells, their bytes and its text are alive at once. (The
     # intp indices that take converts the block to take no more.)
     step = max(1, block_bytes // (3 * rows.shape[1] * cells.itemsize))
-    buf = np.empty_like(rows[:step], dtype=dtype)
+    buf = np.empty((min(step, len(rows)), rows.shape[1]), dtype=cells.dtype)
+    ends = buf.view(np.uint8).reshape(*buf.shape, -1)[:, -1, -field:]
     yield head
     for r in range(0, len(rows), step):
         block = rows[r:r + step]
         out = buf[:len(block)]
         cells.take(block, out=out, mode="wrap")
-        out[:, -1] = ends.take(block[:, -1], mode="wrap")
+        ends[:len(block)] = end
         text = out.tobytes().translate(None, b"\0")
         if r + step >= len(rows):
             text = text[:len(text) - len(row_end)]
         yield text.decode("ascii")
     yield tail
+
+
+def _cell_table(labels: np.ndarray, extra: str | None, sep: str, field: int) -> np.ndarray:
+    """A uint8 row of cell bytes per label, then one for ``extra`` if given.
+
+    A cell is the token right-aligned in a NUL-padded field as wide as the
+    widest token, then ``sep`` at the start of a NUL-padded ``field``.
+    """
+    value = labels.astype(np.int64)
+    digits = len(str(int(value.max(initial=0))))
+    width = max(digits, len(extra or ""))
+    table = np.zeros((len(value) + (extra is not None), width + field), dtype=np.uint8)
+    table[:, width:width + len(sep)] = list(sep.encode("ascii"))
+    if extra is not None:
+        table[-1, width - len(extra):width] = list(extra.encode("ascii"))
+    # Units digit first; a place left of a label's leading digit stays NUL.
+    table[:len(value), width - 1] = value % 10 + ord("0")
+    for col in range(width - 2, width - 1 - digits, -1):
+        value //= 10
+        table[:len(value), col] = np.where(value > 0, value % 10 + ord("0"), 0)
+    return table
 
 
 def _bfs(g: Digraph, source: int) -> list[int | None]:

@@ -35,6 +35,10 @@ METHODS = ("naive", "counting", "oracle")
 # Most maxima the naive sum forms with one factor at a time.
 _NAIVE_BLOCK = 1 << 22
 
+# Most matrix entries one bincount reads: it copies them to intp, eight
+# bytes each, so the copy stays small next to an int16 or int32 matrix.
+_COUNT_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -111,7 +115,7 @@ def sigma_counting_n(ds: Sequence[DistanceMatrix]) -> int:
     """
     if not ds:
         raise ValueError("need at least one factor")
-    counts = [np.bincount(d.finite_array().ravel()) for d in ds]
+    counts = [_distance_counts(d.finite_array()) for d in ds]
     size = max(len(c) for c in counts)
     cdfs = [np.cumsum(np.pad(c, (0, size - len(c)))).tolist() for c in counts]
     total = below = 0
@@ -120,6 +124,16 @@ def sigma_counting_n(ds: Sequence[DistanceMatrix]) -> int:
         total += v * (upto - below)
         below = upto
     return total
+
+
+def _distance_counts(a: np.ndarray) -> np.ndarray:
+    """How many entries of the nonnegative matrix ``a`` hold each value up to
+    its largest, counted a block of rows at a time."""
+    counts = np.zeros(int(a.max()) + 1, dtype=np.int64)
+    step = max(1, _COUNT_BLOCK // a.shape[1])
+    for r in range(0, len(a), step):
+        counts += np.bincount(a[r:r + step].ravel(), minlength=len(counts))
+    return counts
 
 
 def _decimal_12sig(value: Fraction) -> str:

@@ -2,8 +2,12 @@
 
 A product vertex is a tuple of factor coordinates; its flat index is the
 row-major mixed-radix encoding with the leftmost factor most significant.
-The product builds every arc under that codec in one array pass, for
-any number of factors.
+The product carries each arc ``(t, h)`` as one integer key ``t * N + h``
+from construction to the arc array, for any number of factors. The keys
+of the all-stay moves, which are not arcs, are never formed, so no mask
+drops them; and since the factors were validated, the codec is a
+bijection and only all-stay moves have ``t == h``, the arcs are valid by
+construction and skip the ``Digraph`` checks.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from math import prod
 
 import numpy as np
 
-from .digraph import Digraph, _integer
+from .digraph import Digraph, _integer, _key_dtype
 from .errors import ProductTooLargeError
 
 # Explicit products exist to cross-check the factor-based metrics, which
@@ -52,10 +56,19 @@ def strong_product_n(
     """Strong product of one or more digraphs, built in one pass.
 
     Each factor either stays on its vertex or steps along one of its arcs,
-    and every combination of those moves but the all-stay ones is an arc.
-    Combining the factors' move lists under the row-major codec lists each
-    arc once: ``prod(n_i + m_i) - prod(n_i)`` arcs in all. Raises
-    :class:`ProductTooLargeError` past ``max_vertices``, or when the moves
+    and every combination of those moves but the all-stay ones is an arc:
+    ``prod(n_i + m_i) - prod(n_i)`` arcs in all. The arc ``(t, h)`` has
+    the key ``t * N + h`` on N product vertices; the codec is linear, so a
+    move's key is the sum of its factors' move keys, each weighted as its
+    factor is in the codec. From the rightmost factor leftwards, a
+    suffix's arcs are the factor's arcs combined with every move of the
+    rest, and its stays with the rest's arcs; the all-stay moves are never
+    formed. One sort and a division by N give the arc array.
+
+    The arcs are valid by construction, so the ``Digraph`` checks are
+    skipped: the factors were checked, the codec is a bijection, so no
+    arc repeats, and only all-stay moves have ``t == h``. Raises
+    :class:`ProductTooLargeError` past ``max_vertices``, or when the arcs
     do not fit in memory.
     """
     if not gs:
@@ -65,21 +78,38 @@ def strong_product_n(
         raise ProductTooLargeError(
             f"product has {n} vertices, limit is {max_vertices}"
         )
-    moves = prod(g.n + g.m for g in gs)
+    m = prod(g.n + g.m for g in gs) - n
+    dtype = _key_dtype(n)
     too_large = ProductTooLargeError(
-        f"product has {n} vertices and {moves - n} arcs, too many for memory"
+        f"product has {n} vertices and {m} arcs, too many for memory"
     )
-    if moves * np.dtype(np.int64).itemsize > np.iinfo(np.intp).max:
+    # Numpy addresses no more bytes than intp holds; the rows take 16 an arc.
+    if 16 * m > np.iinfo(np.intp).max:
         raise too_large
     try:
-        tails = heads = np.zeros(1, dtype=np.int64)
-        for g in gs:
-            stay = np.arange(g.n, dtype=np.int64)
-            tails = np.add.outer(tails * g.n, np.concatenate([g.arc_array[:, 0], stay]))
-            heads = np.add.outer(heads * g.n, np.concatenate([g.arc_array[:, 1], stay]))
-            tails, heads = tails.ravel(), heads.ravel()
-        # Factors have no self-loops, so only the all-stay moves keep tail = head.
-        keep = tails != heads
-        return Digraph(n, np.stack([tails[keep], heads[keep]], axis=1))
+        # The largest array first: a product too large for memory fails at once.
+        rows = np.empty((m, 2), dtype=np.int64)
+        # Keys of the arcs of the factors done so far (a suffix), and its order.
+        keys, order = np.zeros(0, dtype=dtype), 1
+        for g in reversed(gs):
+            tails, heads = g.arc_array.astype(dtype, copy=False).T
+            steps = (tails * n + heads) * order
+            # The factor's steps with every move of the suffix, its stays with
+            # the suffix's arcs. The suffix's stays x -> x have keys x * (N + 1);
+            # each all-stay array is formed only when it pairs with something.
+            parts = [(steps, keys)]
+            if g.m:
+                parts.append((steps, np.arange(order, dtype=dtype) * (n + 1)))
+            if len(keys):
+                parts.append((np.arange(g.n, dtype=dtype) * (n + 1) * order, keys))
+            keys = np.empty(sum(len(a) * len(b) for a, b in parts), dtype=dtype)
+            start = 0
+            for a, b in parts:
+                block = keys[start:start + len(a) * len(b)]
+                np.add.outer(a, b, out=block.reshape(len(a), len(b)))
+                start += len(block)
+            order *= g.n
+        keys.sort()
+        return Digraph._from_sorted_keys(n, keys, rows)
     except MemoryError:
         raise too_large from None

@@ -213,8 +213,7 @@ EDGE_LABELS = [0, 9, 10, 99, 100, 7]
 
 def _edge_chunks(rows, labels, block_bytes):
     """Rows of label indices through the shared renderer, laid out as edge lines."""
-    tokens = [str(x) for x in labels]
-    return _render_rows(rows, tokens, " ", "\n", "", "\n", block_bytes)
+    return _render_rows(rows, np.array(labels), None, " ", "\n", "", "\n", block_bytes)
 
 
 def _reference_edges(rows, labels):
@@ -257,6 +256,25 @@ class TestApspRendering:
         assert main(["apsp", path, "--format", fmt]) == 0
         expected = _reference_apsp(all_pairs_distances(g).array, fmt)
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    @pytest.mark.parametrize("d", [
+        # n = 1: the unreachable token is wider than every label.
+        np.array([[UNREACHABLE]]),
+        # Labels of one and two digits among unreachable pairs; in json the
+        # row end "],[" is wider than the separator ",".
+        np.arange(144).reshape(12, 12) % 13 - 1,
+    ], ids=["unreachable-1", "mixed-12"])
+    def test_layouts_match_reference(self, d, fmt):
+        for block_bytes in (0, 40, 1 << 17):
+            assert "".join(cli._render(d, fmt, block_bytes)) == _reference_apsp(d, fmt)
+
+    def test_edge_labels_of_mixed_digit_counts(self):
+        labels = [7, 10**18, 0, 12345, 99, 2**63 - 1]
+        rows = np.array([[0, 1], [2, 3], [4, 5], [5, 0], [3, 3]])
+        for block_bytes in (0, 50, 1 << 17):
+            assert "".join(_edge_chunks(rows, labels, block_bytes)) == _reference_edges(
+                rows, labels)
 
     @pytest.mark.parametrize("fmt", ["tsv", "json", "edges"])
     def test_every_block_size(self, fmt):
@@ -586,20 +604,34 @@ def _run_cli_limited(argv, address_space):
 _K141_MESSAGE = "product has 19881 vertices and 395234280 arcs, too many for memory"
 
 
-@pytest.mark.parametrize("argv, huge, message", [
-    (["product"], False, _K141_MESSAGE),
-    (["avgdist", "--method", "oracle"], False, _K141_MESSAGE),
-    # 25 * 10**18 moves of 8 bytes each: more than numpy can address.
-    (["product", "--max-product-vertices", str(10**30)], True,
-     "product has 25000000000000000000 vertices and 0 arcs, too many for memory"),
+# Two factors of 10**18 - 1 vertices and one arc: 2 * 10**18 - 1 arcs of
+# 16 bytes each, more than numpy can address.
+_PAST_INTP_TEXT = f"{10**18 - 1} 1\n0 1\n"
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["product"], None, _K141_MESSAGE),
+    (["avgdist", "--method", "oracle"], None, _K141_MESSAGE),
+    (["product", "--max-product-vertices", str(10**40)], _PAST_INTP_TEXT,
+     f"product has {(10**18 - 1)**2} vertices and {2 * 10**18 - 1} arcs, "
+     "too many for memory"),
 ], ids=["product", "oracle", "product-past-intp"])
-def test_product_too_large_for_memory_exits_four(graph_file, argv, huge, message):
-    path = graph_file("big.el", complete_digraph(141),
-                      text="5000000000 0\n" if huge else None)
+def test_product_too_large_for_memory_exits_four(graph_file, argv, text, message):
+    path = graph_file("big.el", complete_digraph(141), text=text)
     done = _run_cli_limited([*argv, path, path], 2 << 30)
     assert done.returncode == 4, done.stderr
     assert done.stdout == ""
     assert done.stderr == f"strongprod: error: {message}\n"
+
+
+def test_huge_edgeless_product_is_written(graph_file):
+    # 25 * 10**18 vertices and no arcs: only the all-stay moves, which are
+    # never formed, so the product needs no memory to speak of.
+    path = graph_file("big.el", None, text="5000000000 0\n")
+    done = _run_cli_limited(["product", "--max-product-vertices", str(10**30), path, path],
+                            2 << 30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("\n25000000000000000000 0\n")
 
 
 def test_importing_the_cli_loads_no_scipy_or_networkx():

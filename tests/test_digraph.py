@@ -428,6 +428,14 @@ def test_writer_format_is_exact():
         assert write_edge_list(g, comments=("c",)) == _reference_edge_list(g, ("c",))
 
 
+def test_writer_takes_labels_up_to_int64_max():
+    # The largest label an arc holds, 19 digits: its range of labels has
+    # more members than a C ssize_t counts.
+    g = Digraph(2**63, [(2**63 - 1, 0)])
+    assert write_edge_list(g) == "9223372036854775808 1\n9223372036854775807 0\n"
+    assert build_digraph(parse_edge_list(write_edge_list(g))) == g
+
+
 @given(digraphs(max_n=8), st.integers(1, 10**5))
 def test_write_parse_round_trip(g, spread):
     # Spread apart, the labels are few of their range, so the writer's

@@ -9,11 +9,12 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import strongprod.metrics as metrics
-from strongprod.apsp import all_pairs_distances, diameter
+from strongprod.apsp import DistanceMatrix, all_pairs_distances, diameter
 from strongprod.digraph import Digraph
 from strongprod.errors import NotStronglyConnectedError, OrderTooSmallError
 from strongprod.generate import complete_digraph, directed_cycle, directed_path
@@ -127,6 +128,21 @@ class TestSigma:
             tracemalloc.stop()
         assert naive == sigma_counting_n(ds)
         assert peak < 24 << 20
+
+    def test_counting_copies_no_factor_matrix(self):
+        # bincount reads intp: the whole 2000 x 2000 int16 matrix (8 MB) at
+        # once would be a 32 MB copy. Counted by blocks of rows, the copies
+        # stay far below the matrix itself.
+        a = np.add.outer(np.arange(2000), np.arange(2000)) % 50
+        d = DistanceMatrix(a.astype(np.int16))
+        tracemalloc.start()
+        try:
+            sigma = sigma_counting_n([d])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sigma == int(a.sum())
+        assert peak < d.array.nbytes
 
     def test_empty_factor_list(self):
         with pytest.raises(ValueError, match="^need at least one factor$"):

@@ -6,11 +6,15 @@ vertices, and the triple C2 x C2 x C2 is the complete digraph on 8
 vertices with 56 arcs.
 """
 
+from itertools import product
+from math import prod
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongprod.digraph import is_strongly_connected
+from strongprod.digraph import _MAX_KEYED_ORDER, Digraph, _key_dtype, is_strongly_connected
 from strongprod.errors import ProductTooLargeError
 from strongprod.generate import complete_digraph, directed_cycle, directed_path
 from strongprod.product import (
@@ -177,3 +181,88 @@ def test_product_contains_factor_aligned_copies(g1, g2):
             if (x1 * g2.n + x2, y1 * g2.n + x2) in p
         )
         assert induced == arc_set(g1)
+
+
+def _product_by_definition(gs):
+    """The strong product from its definition, through the validating constructor.
+
+    Each factor stays or steps along an arc; the coordinate pairs of every
+    combination but the all-stay ones, encoded, are the arcs.
+    """
+    dims = [g.n for g in gs]
+    moves = [[(v, v) for v in range(g.n)] + sorted(arc_set(g)) for g in gs]
+    arcs = []
+    for combination in product(*moves):
+        tail = encode_label([t for t, _ in combination], dims)
+        head = encode_label([h for _, h in combination], dims)
+        if tail != head:
+            arcs.append((tail, head))
+    return Digraph(prod(dims), arcs)
+
+
+def _assert_built_as_validated(p):
+    """What the constructor's checks guarantee, which the product skips."""
+    assert type(p.n) is int
+    a = p.arc_array
+    assert a.dtype == np.int64
+    assert a.shape == (p.m, 2)
+    assert not a.flags.writeable
+    keys = [u * p.n + v for u, v in a.tolist()]
+    assert all(k < next_k for k, next_k in zip(keys, keys[1:]))
+
+
+@given(st.lists(digraphs(max_n=4), min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_product_matches_its_definition(gs):
+    p = strong_product_n(gs)
+    _assert_built_as_validated(p)
+    assert p == _product_by_definition(gs)
+
+
+@pytest.mark.parametrize("order, dtype", [
+    (46340, np.int32),  # 46340**2 < 2**31
+    (46341, np.int64),
+    (_MAX_KEYED_ORDER, np.int64),
+    (_MAX_KEYED_ORDER + 1, object),
+])
+def test_key_dtype_boundaries(order, dtype):
+    assert _key_dtype(order) == dtype
+
+
+@pytest.mark.parametrize("gs", [
+    # 46340 vertices, int32 keys, with arcs at the top of the key range.
+    [Digraph(2, [(1, 0)]), Digraph(23170, [(23169, 23168), (0, 23169)])],
+    # 46341 vertices, int64 keys.
+    [Digraph(3, [(2, 0)]), Digraph(15447, [(15446, 15445), (0, 15446)])],
+], ids=["46340", "46341"])
+def test_key_dtype_boundary_products(gs):
+    p = strong_product_n(gs, max_vertices=10**5)
+    _assert_built_as_validated(p)
+    assert p == _product_by_definition(gs)
+
+
+_LAST = _MAX_KEYED_ORDER
+
+
+@pytest.mark.parametrize("gs, arcs", [
+    # The last order with int64 keys, and the first past it: the last arc's
+    # key is near n * n, which int64 would wrap past the keyed order.
+    ([Digraph(1, []), Digraph(_LAST, [(_LAST - 1, 0)])], [(_LAST - 1, 0)]),
+    ([Digraph(2, []), Digraph(_LAST // 2 + 1, [(_LAST // 2, _LAST // 2 - 1)])],
+     [(_LAST // 2, _LAST // 2 - 1), (_LAST, _LAST - 1)]),
+], ids=["last-int64", "first-object"])
+def test_products_at_the_keyed_order(gs, arcs):
+    p = strong_product_n(gs, max_vertices=10**10)
+    _assert_built_as_validated(p)
+    assert p == Digraph(prod(g.n for g in gs), arcs)
+
+
+def test_huge_product_forms_no_all_stay_moves():
+    # 3.6 * 10**9 vertices, past the int64 keys, but only 60,000 arcs: the
+    # all-stay moves, nearly every move, are never formed.
+    gs = [Digraph(60000, []), Digraph(60000, [(0, 1)])]
+    p = strong_product_n(gs, max_vertices=10**10)
+    _assert_built_as_validated(p)
+    assert p.n == 3_600_000_000
+    tails = np.arange(60000) * 60000
+    assert np.array_equal(p.arc_array, np.stack([tails, tails + 1], axis=1))
