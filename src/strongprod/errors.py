@@ -42,7 +42,7 @@ class OrderTooSmallError(StrongProdError):
 
 
 class ProductTooLargeError(StrongProdError):
-    """A product passes the vertex limit, or it outgrows memory."""
+    """A product passes the vertex limit, outgrows memory, or has an arc past int64."""
 
 
 class DistanceMatrixTooLargeError(StrongProdError):

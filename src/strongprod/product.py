@@ -7,7 +7,9 @@ from construction to the arc array, for any number of factors. The keys
 of the all-stay moves, which are not arcs, are never formed, so no mask
 drops them; and since the factors were validated, the codec is a
 bijection and only all-stay moves have ``t == h``, the arcs are valid by
-construction and skip the ``Digraph`` checks.
+construction and skip the ``Digraph`` checks. Only past 2**63 vertices
+can an arc reach a vertex the int64 arc array cannot hold; the product
+is refused then.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import prod
 
 import numpy as np
 
-from .digraph import Digraph, _integer, _key_dtype
+from .digraph import _VERTEX_LIMIT, Digraph, _integer, _key_dtype
 from .errors import ProductTooLargeError
 
 # Explicit products exist to cross-check the factor-based metrics, which
@@ -67,9 +69,10 @@ def strong_product_n(
 
     The arcs are valid by construction, so the ``Digraph`` checks are
     skipped: the factors were checked, the codec is a bijection, so no
-    arc repeats, and only all-stay moves have ``t == h``. Raises
-    :class:`ProductTooLargeError` past ``max_vertices``, or when the arcs
-    do not fit in memory.
+    arc repeats, and only all-stay moves have ``t == h``. Only the range
+    of the int64 arc array is not guaranteed: past 2**63 vertices an arc
+    may reach a vertex it cannot hold. Raises :class:`ProductTooLargeError`
+    then, past ``max_vertices``, or when the arcs do not fit in memory.
     """
     if not gs:
         raise ValueError("need at least one factor")
@@ -90,6 +93,8 @@ def strong_product_n(
         # The largest array first: a product too large for memory fails at once.
         rows = np.empty((m, 2), dtype=np.int64)
         # Keys of the arcs of the factors done so far (a suffix), and its order.
+        # Every value formed below, partial products included, is below
+        # N * N, so the key dtype holds it.
         keys, order = np.zeros(0, dtype=dtype), 1
         for g in reversed(gs):
             tails, heads = g.arc_array.astype(dtype, copy=False).T
@@ -110,6 +115,12 @@ def strong_product_n(
                 start += len(block)
             order *= g.n
         keys.sort()
+        # Past 2**63 vertices an arc's label may not fit the int64 rows.
         return Digraph._from_sorted_keys(n, keys, rows)
     except MemoryError:
         raise too_large from None
+    except OverflowError:
+        raise ProductTooLargeError(
+            f"product has {n} vertices, and an arc has a vertex outside "
+            f"[0, {_VERTEX_LIMIT}), the vertices an arc can hold"
+        ) from None

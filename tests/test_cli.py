@@ -363,6 +363,19 @@ class TestProduct:
         assert main(["product", a, a, "--max-product-vertices", "5"]) == 4
         assert capsys.readouterr().out == ""
 
+    def test_arc_past_int64_exits_four(self, graph_file, capsys):
+        # The second factor's arc, repeated for each vertex of the first,
+        # reaches vertex 99 * (10**18 - 1) + 1, past what an arc can hold.
+        a = graph_file("e100.el", None, text="100 0\n")
+        b = graph_file("big.el", None, text=f"{10**18 - 1} 1\n0 1\n")
+        assert main(["product", a, b, "--max-product-vertices", str(10**21)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"strongprod: error: product has {100 * (10**18 - 1)} vertices, and an "
+            f"arc has a vertex outside [0, {2**63}), the vertices an arc can hold\n"
+        )
+
     def test_check_connected_flag(self, graph_file, capsys):
         a = graph_file("p2.el", directed_path(2))
         assert main(["product", a, a, "--check-connected"]) == 3

@@ -369,6 +369,16 @@ class TestDigraphValue:
         arcs = np.array([[49999, 1], [1, 49999]], dtype=np.int32)
         assert Digraph(50000, arcs).arc_array.tolist() == [[1, 49999], [49999, 1]]
 
+    def test_uint64_rows_are_keyed_exactly(self):
+        # Keys near 10**18 are past float64's exact integers: two heads one
+        # apart, and a repeat, must not be rounded together or apart.
+        n = 10**9
+        arcs = np.array([[n - 1, n - 2], [n - 1, 1], [n - 1, 0]], dtype=np.uint64)
+        assert Digraph(n, arcs).arc_array.tolist() == [[n - 1, 0], [n - 1, 1],
+                                                       [n - 1, n - 2]]
+        with pytest.raises(DigraphValidationError, match="listed more than once"):
+            Digraph(n, np.array([[n - 1, 1], [n - 1, 1]], dtype=np.uint64))
+
     def test_rejects_rows_that_are_not_pairs(self):
         with pytest.raises(ValueError):
             Digraph(3, [(0, 1, 2)])

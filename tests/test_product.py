@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongprod.digraph import _MAX_KEYED_ORDER, Digraph, _key_dtype, is_strongly_connected
+from strongprod.digraph import _MAX_KEYED_ORDER, Digraph, is_strongly_connected
 from strongprod.errors import ProductTooLargeError
 from strongprod.generate import complete_digraph, directed_cycle, directed_path
 from strongprod.product import (
@@ -219,16 +219,6 @@ def test_product_matches_its_definition(gs):
     assert p == _product_by_definition(gs)
 
 
-@pytest.mark.parametrize("order, dtype", [
-    (46340, np.int32),  # 46340**2 < 2**31
-    (46341, np.int64),
-    (_MAX_KEYED_ORDER, np.int64),
-    (_MAX_KEYED_ORDER + 1, object),
-])
-def test_key_dtype_boundaries(order, dtype):
-    assert _key_dtype(order) == dtype
-
-
 @pytest.mark.parametrize("gs", [
     # 46340 vertices, int32 keys, with arcs at the top of the key range.
     [Digraph(2, [(1, 0)]), Digraph(23170, [(23169, 23168), (0, 23169)])],
@@ -266,3 +256,14 @@ def test_huge_product_forms_no_all_stay_moves():
     assert p.n == 3_600_000_000
     tails = np.arange(60000) * 60000
     assert np.array_equal(p.arc_array, np.stack([tails, tails + 1], axis=1))
+
+
+def test_products_past_int64_vertices():
+    # 2**64 vertices, but with the arc's factor first every arc ends below 8.
+    p = strong_product_n([Digraph(2**62, [(0, 1)]), Digraph(4, [])], max_vertices=2**64)
+    _assert_built_as_validated(p)
+    assert p.arc_array.tolist() == [[0, 4], [1, 5], [2, 6], [3, 7]]
+    # With it last, the arcs reach vertex 99 * (10**18 - 1) + 1 > 2**63.
+    gs = [Digraph(100, []), Digraph(10**18 - 1, [(0, 1)])]
+    with pytest.raises(ProductTooLargeError, match=r"outside \[0, 9223372036854775808\)"):
+        strong_product_n(gs, max_vertices=10**21)
