@@ -3,7 +3,9 @@
 Data goes to standard output (or ``--out`` for products), diagnostics to
 standard error. Output is deterministic: identical inputs give
 byte-identical output. ``apsp`` matrices and ``product`` edge lists go
-through one renderer of byte cells, in blocks of rows of bounded size.
+through one renderer of byte cells, in blocks of rows of bounded size,
+each written as it is made. ``product`` opens ``--out`` only once the
+product is built, so a refused product leaves the file as it was.
 
 Exit codes: 0 success, 1 usage, 2 parse or validation failure
 (``EdgeListFormatError``, ``DigraphValidationError``, a file that cannot
@@ -27,13 +29,13 @@ import functools
 import json
 import sys
 from collections.abc import Iterator, Sequence
-from pathlib import Path
+from itertools import chain
 
 import numpy as np
 
 from .apsp import all_pairs_distances
-from .digraph import _RENDER_BYTES, _render_rows
-from .digraph import Digraph, is_strongly_connected, load_digraph, write_edge_list
+from .digraph import _RENDER_BYTES, _copy_rows, _edge_list_blocks, _render_rows
+from .digraph import Digraph, is_strongly_connected, load_digraph
 from .errors import (
     DigraphValidationError,
     DistanceMatrixTooLargeError,
@@ -43,7 +45,7 @@ from .errors import (
     ProductTooLargeError,
 )
 from .metrics import METHODS, _check_connected, average_distance_product_n
-from .product import DEFAULT_MAX_PRODUCT_VERTICES, strong_product_n
+from .product import DEFAULT_MAX_PRODUCT_VERTICES, _too_large, strong_product_n
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -143,7 +145,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 def _render(d: np.ndarray, fmt: str, block_bytes: int = _RENDER_BYTES) -> Iterator[str]:
     """The text of the distance array ``d`` in ``fmt``, a block of rows at a time."""
     # Labels are the distances 0..n-1; UNREACHABLE (-1) takes the extra token.
-    return _render_rows(d, np.arange(len(d)), *_LAYOUTS[fmt], block_bytes)
+    blocks = _render_rows(d.shape, _copy_rows(d), np.arange(len(d)), *_LAYOUTS[fmt],
+                          block_bytes)
+    return map(bytes.decode, blocks)
 
 
 def cmd_apsp(args: argparse.Namespace) -> int:
@@ -165,11 +169,19 @@ def cmd_product(args: argparse.Namespace) -> int:
         "vertex index = row-major encoding of factor coordinates, "
         "leftmost factor most significant",
     )
-    text = write_edge_list(product, comments=comments)
+    try:
+        blocks = _edge_list_blocks(product, comments)
+        # The head comes once the labels, cells and buffers are made, so a
+        # product too large for them touches no file.
+        blocks = chain([next(blocks)], blocks)
+    except MemoryError:
+        raise _too_large(product.n, product.m) from None
+    # Each block is written as it is made, and none is kept.
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(map(bytes.decode, blocks))
     else:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "wb") as out:
+            out.writelines(blocks)
     return EXIT_OK
 
 

@@ -2,15 +2,16 @@
 
 Vertices are the integers ``0..n-1``. Arcs are ordered pairs without
 self-loops, at most one per pair. All values are immutable after
-construction and safe to share across threads.
+construction and safe to share across threads. Views derived on first
+read (a product's arc array, the out-adjacency) are cached; threads that
+read one first at once may each build it, and all get equal values.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-import sys
-from collections.abc import Collection, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -73,6 +74,8 @@ class Digraph:
     ``[0, n)``, no self-loops, no repeats. Of several faults the first
     pair in the order given is reported, and of one pair's own faults a
     self-loop before a range error. Equal digraphs compare and hash equal.
+    A product keeps its arc keys instead (``_from_sorted_keys``) and
+    builds ``arc_array`` on first read.
     """
 
     n: int
@@ -113,20 +116,21 @@ class Digraph:
             raise DigraphValidationError(f"arc ({u}, {v}) outside [0, {_VERTEX_LIMIT}), "
                                          "the vertices an arc can hold")
         rows = np.empty((len(key), 2), dtype=np.int64)
-        object.__setattr__(self, "arc_array", _key_rows(key, self.n, rows))
+        object.__setattr__(self, "arc_array", _read_only(_key_rows(key, self.n, rows)))
 
-    @classmethod
-    def _from_sorted_keys(cls, n: int, keys: np.ndarray, rows: np.ndarray) -> Digraph:
-        """The digraph on ``n`` vertices whose arcs have the keys ``u * n + v``,
-        written to ``rows``, an ``(m, 2)`` int64 array.
+    @staticmethod
+    def _from_sorted_keys(n: int, keys: np.ndarray) -> Digraph:
+        """The digraph on ``n`` vertices whose arcs have the keys ``u * n + v``.
 
-        Nothing is checked: ``n`` must be a Python int of at least 1 and
-        ``keys`` strictly increasing keys of arcs in range without
-        self-loops, in a dtype that ``_key_dtype(n)`` allows.
+        The keys are kept, and nothing is checked or copied: ``n`` must be
+        a Python int of at least 1 and ``keys`` strictly increasing keys
+        of arcs without self-loops, each endpoint in ``[0, min(n, 2**63))``,
+        in a dtype that ``_key_dtype(n)`` allows. ``m`` is read from the
+        keys; ``arc_array`` is built from them on first read.
         """
-        g = object.__new__(cls)
+        g = object.__new__(_KeyedDigraph)
         object.__setattr__(g, "n", n)
-        object.__setattr__(g, "arc_array", _key_rows(keys, n, rows))
+        object.__setattr__(g, "_keys", keys)
         return g
 
     @property
@@ -171,8 +175,25 @@ def _key_dtype(n: int) -> np.dtype:
     return np.dtype(np.int64 if n <= _MAX_KEYED_ORDER else object)
 
 
+class _KeyedDigraph(Digraph):
+    """A digraph held as its sorted arc keys, as ``Digraph._from_sorted_keys``
+    makes it: its edge list is written from the keys a block at a time,
+    and needs no arc array. ``arc_array`` is the same read-only int64
+    array as a ``Digraph``'s, built on first read and then kept.
+    """
+
+    @cached_property
+    def arc_array(self) -> np.ndarray:
+        keys = self._keys
+        return _read_only(_key_rows(keys, self.n, np.empty((len(keys), 2), dtype=np.int64)))
+
+    @property
+    def m(self) -> int:
+        return len(self._keys)
+
+
 def _key_rows(keys: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
-    """``rows``, made read-only, after writing the keys' rows ``divmod(key, n)``.
+    """``rows`` after writing the keys' rows ``divmod(key, n)`` into it.
 
     Floor division and a product, not ``np.divmod``: numpy divides by a
     scalar faster so, and has no divmod of Python ints (object keys).
@@ -180,7 +201,7 @@ def _key_rows(keys: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
     tails = keys // n
     rows[:, 0] = tails
     rows[:, 1] = keys - tails * n
-    return _read_only(rows)
+    return rows
 
 
 def _integer(value) -> int:
@@ -330,6 +351,15 @@ def load_digraph(path: str | Path) -> Digraph:
     return build_digraph(parse_edge_list(Path(path).read_text(encoding="utf-8-sig")))
 
 
+# Byte budget of each block of rows rendered: bounded, so that memory does
+# not grow with the table, and large, since each block allocates its text
+# anew. With 128 KB blocks (4,369 rows of a product-emit edge list) those
+# texts, of varying sizes, fragmented the heap: over 40 passes of the
+# product-emit pool in one process, peak RSS reached 45.7 MB, against
+# 39.4 MB with 512 KB blocks.
+_RENDER_BYTES = 1 << 19
+
+
 def write_edge_list(g: Digraph, comments: Sequence[str] = ()) -> str:
     """Render ``g`` in the edge-list format, arcs in lexicographic order.
 
@@ -337,66 +367,100 @@ def write_edge_list(g: Digraph, comments: Sequence[str] = ()) -> str:
     A comment holding a line break, one that ``str.splitlines`` splits at,
     is a ``ValueError``: the text would not parse back.
     """
+    blocks = _edge_list_blocks(g, comments)
+    return "".join(block.decode("utf-8", "surrogatepass") for block in blocks)
+
+
+def _edge_list_blocks(g: Digraph, comments: Sequence[str] = (),
+                      block_bytes: int = _RENDER_BYTES) -> Iterator[bytes]:
+    """The bytes of ``write_edge_list(g, comments)`` in UTF-8, lone
+    surrogates passed: the head, then the arc lines a block at a time.
+
+    The comments are checked and the labels made before this returns:
+    every label up to ``n - 1`` when ``n <= 2 * m``, else only those in
+    use, in which each block's rows are looked up. A keyed digraph's rows
+    are decoded from its keys a block at a time; its arc array is not built.
+    """
     for comment in comments:
         if _LINE_BREAK.search(comment):
             raise ValueError(f"comment {comment!r} holds a line break")
     head = "".join(f"# {comment}\n" for comment in comments) + f"{g.n} {g.m}\n"
     if not g.m:
-        return head
-    # Every label up to the largest, or those in use if fewer.
-    top = int(g.arc_array.max())
-    if top < 2 * g.m:
-        labels, index = np.arange(top + 1), g.arc_array
+        return iter((head.encode("utf-8", "surrogatepass"),))
+    if isinstance(g, _KeyedDigraph):
+        def arcs(start: int, out: np.ndarray) -> None:
+            _key_rows(g._keys[start:start + len(out)], g.n, out)
     else:
-        labels, index = np.unique(g.arc_array, return_inverse=True)
-        index = index.reshape(g.arc_array.shape)
-    # One block: the text is returned whole, and held chunks fragment the heap.
-    return "".join(_render_rows(index, labels, None, " ", "\n", head, "\n", sys.maxsize))
+        arcs = _copy_rows(g.arc_array)
+    if g.n <= 2 * g.m:
+        labels, fill = np.arange(g.n), arcs
+    else:
+        every = np.empty((g.m, 2), dtype=np.intp)
+        arcs(0, every)
+        labels = np.unique(every)
+
+        def fill(start: int, out: np.ndarray) -> None:
+            arcs(start, out)
+            out[...] = np.searchsorted(labels, out)
+    return _render_rows((g.m, 2), fill, labels, None, " ", "\n", head, "\n", block_bytes)
 
 
-# Byte budget of each block of rows rendered: small next to the APSP
-# kernel's work buffers, so that rendering does not add to peak memory.
-_RENDER_BYTES = 1 << 17
+def _copy_rows(a: np.ndarray) -> Callable[[int, np.ndarray], None]:
+    """A ``fill`` for ``_render_rows`` that copies the rows of the array ``a``."""
+    def fill(start: int, out: np.ndarray) -> None:
+        out[...] = a[start:start + len(out)]
+    return fill
 
 
-def _render_rows(rows: np.ndarray, labels: np.ndarray, extra: str | None, sep: str,
-                 row_end: str, head: str, tail: str,
-                 block_bytes: int = _RENDER_BYTES) -> Iterator[str]:
-    """The text of the integer table ``rows``, a block of rows at a time.
+def _render_rows(shape: tuple[int, int], fill: Callable[[int, np.ndarray], None],
+                 labels: np.ndarray, extra: str | None, sep: str, row_end: str,
+                 head: str, tail: str, block_bytes: int = _RENDER_BYTES) -> Iterator[bytes]:
+    """The text of an integer table of ``shape``, as bytes, a block of rows at a time.
 
-    Entry x is the decimal ``labels[x]``, or ``extra`` where x is -1 (the
-    last cell, where ``take`` wraps it), followed by ``sep``, or by
-    ``row_end`` at the end of a row; ``head`` comes first and ``tail``
-    takes the last row end's place. Each label, and ``extra``, has a
-    fixed-width cell of ASCII bytes: the token right-aligned and
-    NUL-padded, then a separator field as wide as the longer of ``sep``
-    and ``row_end``, with ``sep`` at its start. A block is one ``take``
-    into the cells, then one strided store writes ``row_end`` over the
-    separator field of each row's last cell; deleting the NULs leaves its
-    text. Blocks stay near ``block_bytes``, so memory does not grow with
-    the rows rendered.
+    ``fill(start, out)`` writes the table's rows from ``start`` on into the
+    intp array ``out``, as many as it holds; it is called once a block,
+    always with the same buffer, so the table need not exist whole. Entry
+    x is the decimal ``labels[x]``, or ``extra`` where x is -1 (the last
+    cell, where ``take`` wraps it), followed by ``sep``, or by ``row_end``
+    at the end of a row; ``head`` comes first and ``tail`` takes the last
+    row end's place. Where ``tail`` begins with ``row_end`` the last row
+    end stays and only the rest of ``tail`` follows, so that no block is
+    copied to trim it. Each label, and ``extra``, has a fixed-width cell
+    of ASCII bytes: the token right-aligned and NUL-padded, then a
+    separator field as wide as the longer of ``sep`` and ``row_end``, with
+    ``sep`` at its start. A block is one ``take`` into the cells, then one
+    strided store writes ``row_end`` over the separator field of each
+    row's last cell; deleting the NULs leaves its text. Blocks stay near
+    ``block_bytes``, so memory does not grow with the rows rendered.
+    ``head`` and ``tail`` are encoded as UTF-8, lone surrogates passed.
     """
+    count, cols = shape
     field = max(len(sep), len(row_end))
     table = _cell_table(labels, extra, sep, field)
     cells = table.view(f"S{table.shape[1]}").ravel()
     end = np.zeros(field, dtype=np.uint8)
     end[:len(row_end)] = list(row_end.encode("ascii"))
-    # A block's cells, their bytes and its text are alive at once. (The
-    # intp indices that take converts the block to take no more.)
-    step = max(1, block_bytes // (3 * rows.shape[1] * cells.itemsize))
-    buf = np.empty((min(step, len(rows)), rows.shape[1]), dtype=cells.dtype)
+    # A block's cells, their bytes and its text are alive at once, beside
+    # its indices.
+    step = max(1, block_bytes // (3 * cols * cells.itemsize))
+    index = np.empty((min(step, count), cols), dtype=np.intp)
+    buf = np.empty(index.shape, dtype=cells.dtype)
     ends = buf.view(np.uint8).reshape(*buf.shape, -1)[:, -1, -field:]
-    yield head
-    for r in range(0, len(rows), step):
-        block = rows[r:r + step]
-        out = buf[:len(block)]
-        cells.take(block, out=out, mode="wrap")
-        ends[:len(block)] = end
+    keep_end = count > 0 and tail.startswith(row_end)
+    if keep_end:
+        tail = tail[len(row_end):]
+    yield head.encode("utf-8", "surrogatepass")
+    for r in range(0, count, step):
+        rows = index[:min(step, count - r)]
+        fill(r, rows)
+        out = buf[:len(rows)]
+        cells.take(rows, out=out, mode="wrap")
+        ends[:len(rows)] = end
         text = out.tobytes().translate(None, b"\0")
-        if r + step >= len(rows):
+        if not keep_end and r + step >= count:
             text = text[:len(text) - len(row_end)]
-        yield text.decode("ascii")
-    yield tail
+        yield text
+    yield tail.encode("utf-8", "surrogatepass")
 
 
 def _cell_table(labels: np.ndarray, extra: str | None, sep: str, field: int) -> np.ndarray:

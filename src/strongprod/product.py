@@ -3,13 +3,14 @@
 A product vertex is a tuple of factor coordinates; its flat index is the
 row-major mixed-radix encoding with the leftmost factor most significant.
 The product carries each arc ``(t, h)`` as one integer key ``t * N + h``
-from construction to the arc array, for any number of factors. The keys
-of the all-stay moves, which are not arcs, are never formed, so no mask
-drops them; and since the factors were validated, the codec is a
-bijection and only all-stay moves have ``t == h``, the arcs are valid by
-construction and skip the ``Digraph`` checks. Only past 2**63 vertices
-can an arc reach a vertex the int64 arc array cannot hold; the product
-is refused then.
+for any number of factors, and the digraph it returns keeps those keys:
+its edge list is written from them, and its arc array is built only when
+something reads it. The keys of the all-stay moves, which are not arcs,
+are never formed, so no mask drops them; and since the factors were
+validated, the codec is a bijection and only all-stay moves have
+``t == h``, the arcs are valid by construction and skip the ``Digraph``
+checks. Only past 2**63 vertices can an arc reach a vertex the int64 arc
+array cannot hold; the product is refused then.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ def decode_label(flat: int, dims: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(coords))
 
 
+def _too_large(n: int, m: int) -> ProductTooLargeError:
+    """The error for a product of ``n`` vertices and ``m`` arcs that memory cannot hold."""
+    return ProductTooLargeError(f"product has {n} vertices and {m} arcs, too many for memory")
+
+
 def strong_product_n(
     gs: Sequence[Digraph],
     max_vertices: int = DEFAULT_MAX_PRODUCT_VERTICES,
@@ -65,14 +71,16 @@ def strong_product_n(
     factor is in the codec. From the rightmost factor leftwards, a
     suffix's arcs are the factor's arcs combined with every move of the
     rest, and its stays with the rest's arcs; the all-stay moves are never
-    formed. One sort and a division by N give the arc array.
+    formed. The keys are sorted once and kept by the digraph returned
+    (``Digraph._from_sorted_keys``): no arc array is made here, and
+    reading ``m`` makes none.
 
     The arcs are valid by construction, so the ``Digraph`` checks are
     skipped: the factors were checked, the codec is a bijection, so no
     arc repeats, and only all-stay moves have ``t == h``. Only the range
-    of the int64 arc array is not guaranteed: past 2**63 vertices an arc
+    of an int64 arc array is not guaranteed: past 2**63 vertices an arc
     may reach a vertex it cannot hold. Raises :class:`ProductTooLargeError`
-    then, past ``max_vertices``, or when the arcs do not fit in memory.
+    then, past ``max_vertices``, or when the keys do not fit in memory.
     """
     if not gs:
         raise ValueError("need at least one factor")
@@ -83,15 +91,10 @@ def strong_product_n(
         )
     m = prod(g.n + g.m for g in gs) - n
     dtype = _key_dtype(n)
-    too_large = ProductTooLargeError(
-        f"product has {n} vertices and {m} arcs, too many for memory"
-    )
-    # Numpy addresses no more bytes than intp holds; the rows take 16 an arc.
-    if 16 * m > np.iinfo(np.intp).max:
-        raise too_large
+    # Numpy addresses no more bytes than intp holds.
+    if dtype.itemsize * m > np.iinfo(np.intp).max:
+        raise _too_large(n, m)
     try:
-        # The largest array first: a product too large for memory fails at once.
-        rows = np.empty((m, 2), dtype=np.int64)
         # Keys of the arcs of the factors done so far (a suffix), and its order.
         # Every value formed below, partial products included, is below
         # N * N, so the key dtype holds it.
@@ -107,6 +110,8 @@ def strong_product_n(
                 parts.append((steps, np.arange(order, dtype=dtype) * (n + 1)))
             if len(keys):
                 parts.append((np.arange(g.n, dtype=dtype) * (n + 1) * order, keys))
+            # The last of these arrays is the largest: a product too large for
+            # memory fails there, before the sort.
             keys = np.empty(sum(len(a) * len(b) for a, b in parts), dtype=dtype)
             start = 0
             for a, b in parts:
@@ -115,12 +120,12 @@ def strong_product_n(
                 start += len(block)
             order *= g.n
         keys.sort()
-        # Past 2**63 vertices an arc's label may not fit the int64 rows.
-        return Digraph._from_sorted_keys(n, keys, rows)
     except MemoryError:
-        raise too_large from None
-    except OverflowError:
+        raise _too_large(n, m) from None
+    # Past 2**63 vertices (object keys) an arc's label may not fit int64.
+    if n > _VERTEX_LIMIT and m and max(keys[-1] // n, (keys % n).max()) >= _VERTEX_LIMIT:
         raise ProductTooLargeError(
             f"product has {n} vertices, and an arc has a vertex outside "
             f"[0, {_VERTEX_LIMIT}), the vertices an arc can hold"
-        ) from None
+        )
+    return Digraph._from_sorted_keys(n, keys)

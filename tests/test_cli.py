@@ -1,15 +1,19 @@
 """Command-line contract: outputs are byte-exact and exit codes are stable."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
+from contextlib import redirect_stdout
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strongprod
@@ -18,6 +22,8 @@ from strongprod.apsp import UNREACHABLE, all_pairs_distances
 from strongprod.cli import main
 from strongprod.digraph import (
     Digraph,
+    _copy_rows,
+    _edge_list_blocks,
     _render_rows,
     build_digraph,
     parse_edge_list,
@@ -25,6 +31,8 @@ from strongprod.digraph import (
 )
 from strongprod.generate import complete_digraph, directed_cycle, directed_path
 from strongprod.product import strong_product_n
+
+from .strategies import digraphs
 
 # A huge declared order with one arc: too few arcs to be strongly connected.
 HUGE_ORDER_TEXT = "5000000000 1\n0 4999999999\n"
@@ -213,7 +221,9 @@ EDGE_LABELS = [0, 9, 10, 99, 100, 7]
 
 def _edge_chunks(rows, labels, block_bytes):
     """Rows of label indices through the shared renderer, laid out as edge lines."""
-    return _render_rows(rows, np.array(labels), None, " ", "\n", "", "\n", block_bytes)
+    blocks = _render_rows(rows.shape, _copy_rows(rows), np.array(labels), None, " ", "\n",
+                          "", "\n", block_bytes)
+    return map(bytes.decode, blocks)
 
 
 def _reference_edges(rows, labels):
@@ -420,6 +430,95 @@ class TestProduct:
         main(["product", a, b])
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("argv, texts, code", [
+        (["--max-product-vertices", "5"], [C3_TEXT, C3_TEXT], 4),
+        (["--max-product-vertices", str(10**21)], ["100 0\n", f"{10**18 - 1} 1\n0 1\n"], 4),
+        (["--check-connected"], [C3_TEXT, SOURCE_TEXT], 3),
+    ], ids=["vertex-limit", "arc-past-int64", "not-connected"])
+    def test_refused_product_leaves_out_alone(self, graph_file, capsys, tmp_path,
+                                              argv, texts, code):
+        paths = [graph_file(f"f{i}.el", None, text=text) for i, text in enumerate(texts)]
+        kept, missing = tmp_path / "kept.el", tmp_path / "missing.el"
+        kept.write_bytes(b"earlier output\n")
+        for out in (kept, missing):
+            assert main(["product", *paths, *argv, "--out", str(out)]) == code
+            assert capsys.readouterr().out == ""
+        assert kept.read_bytes() == b"earlier output\n"
+        assert not missing.exists()
+
+    def test_writes_no_arc_array(self, graph_file, tmp_path):
+        # 60 vertices and 600 arcs, squared: 432,000 arcs, whose int64 arc
+        # array would take 16 bytes each.
+        rng = np.random.default_rng(0)
+        pairs = np.array([(u, v) for u in range(60) for v in range(60) if u != v])
+        g = Digraph(60, pairs[rng.choice(len(pairs), 600, replace=False)])
+        path, out = graph_file("g.el", g), str(tmp_path / "p.el")
+        m = strong_product_n([g, g]).m
+        assert m == 432_000
+        assert main(["product", path, path, "--out", out]) == 0  # warm-up
+        tracemalloc.start()
+        try:
+            p = strong_product_n([g, g])
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert p.m == m
+            assert tracemalloc.get_traced_memory()[1] - before < 1000
+            del p
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(["product", path, path, "--out", out]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * m
+        assert Path(out).read_text(encoding="utf-8").endswith(
+            write_edge_list(strong_product_n([g, g])))
+
+
+def _written_product(gs, argv):
+    """The bytes of ``product`` on the factors ``gs``: (stdout, ``--out``)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, g in enumerate(gs):
+            paths.append(os.path.join(tmp, f"f{i}.el"))
+            Path(paths[-1]).write_text(write_edge_list(g), encoding="utf-8")
+        out = os.path.join(tmp, "p.el")
+        assert main(["product", *paths, *argv, "--out", out]) == 0
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            assert main(["product", *paths, *argv]) == 0
+        return stdout.getvalue().encode(), Path(out).read_bytes()
+
+
+def _plain_edge_list(n, arcs):
+    """The edge-list text of sorted arcs, built one Python line per arc."""
+    return f"{n} {len(arcs)}\n" + "".join(f"{u} {v}\n" for u, v in arcs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gs=st.lists(digraphs(max_n=4), min_size=1, max_size=3),
+       block_bytes=st.integers(0, 400), spread=st.sampled_from([1, 1000]))
+@example(gs=[Digraph(1, []), directed_cycle(3), Digraph(2, [])], block_bytes=0, spread=1)
+@example(gs=[directed_cycle(2), directed_path(3)], block_bytes=40, spread=1000)
+def test_streamed_product_bytes(gs, block_bytes, spread):
+    # Spread, the second factor's arcs join few of its many vertices, so the
+    # product's labels are sparse (N > 2m) wherever it has arcs.
+    if spread > 1 and len(gs) > 1:
+        gs[1] = Digraph(gs[1].n * spread, gs[1].arc_array * spread)
+    p = strong_product_n(gs, max_vertices=10**6)
+    arcs = sorted(map(tuple, p.arc_array.tolist()))
+    expected = _plain_edge_list(p.n, arcs).encode()
+    assert p == Digraph(p.n, arcs)
+    assert write_edge_list(p).encode() == expected
+    # Budgets from one arc line per block up: blocks end inside the product.
+    for g in (p, Digraph(p.n, arcs)):
+        assert b"".join(_edge_list_blocks(g, (), block_bytes)) == expected
+    if len(gs) > 1:
+        stdout, out = _written_product(gs, ["--max-product-vertices", str(10**6)])
+        assert stdout == out
+        # Past the two comment lines, the writer's bytes.
+        assert out.split(b"\n", 2)[2] == expected
+
 
 class TestAvgdist:
     def test_c3_c3_exact_bytes(self, graph_file, capsys):
@@ -612,8 +711,8 @@ def _run_cli_limited(argv, address_space):
                           text=True, env=_child_env(), timeout=120)
 
 
-# Two complete K141 factors fit the default vertex cap, but their 19881**2
-# moves need 3.2 GB per array, above the child's 2 GiB.
+# Two complete K141 factors fit the default vertex cap, but the 395,234,280
+# int32 keys of their product's arcs need 1.58 GB, above the child's 1 GiB.
 _K141_MESSAGE = "product has 19881 vertices and 395234280 arcs, too many for memory"
 
 
@@ -631,10 +730,21 @@ _PAST_INTP_TEXT = f"{10**18 - 1} 1\n0 1\n"
 ], ids=["product", "oracle", "product-past-intp"])
 def test_product_too_large_for_memory_exits_four(graph_file, argv, text, message):
     path = graph_file("big.el", complete_digraph(141), text=text)
-    done = _run_cli_limited([*argv, path, path], 2 << 30)
+    done = _run_cli_limited([*argv, path, path], 1 << 30)
     assert done.returncode == 4, done.stderr
     assert done.stdout == ""
     assert done.stderr == f"strongprod: error: {message}\n"
+
+
+def test_oracle_arc_array_past_memory_exits_four(graph_file):
+    # The 99,990,000 int32 keys of K100 x K100 (0.4 GB) fit under the child's
+    # 1 GiB, but the arc array that the oracle's APSP reads (1.6 GB) does not.
+    path = graph_file("k100.el", complete_digraph(100))
+    done = _run_cli_limited(["avgdist", "--method", "oracle", path, path], 1 << 30)
+    assert done.returncode == 4, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == ("strongprod: error: product has 10000 vertices and "
+                           "99990000 arcs, too many for memory\n")
 
 
 def test_huge_edgeless_product_is_written(graph_file):

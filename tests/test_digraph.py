@@ -468,6 +468,7 @@ _NO_BREAK = st.text().filter(lambda c: "".join(c.splitlines()) == c)
 
 
 @given(digraphs(max_n=5), st.lists(_NO_BREAK, max_size=3))
+@example(directed_cycle(3), ["\ud800"])  # a lone surrogate, which UTF-8 cannot encode
 def test_comments_without_a_line_break_round_trip(g, comments):
     assert build_digraph(parse_edge_list(write_edge_list(g, comments))) == g
 
