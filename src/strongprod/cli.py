@@ -34,7 +34,7 @@ from itertools import chain
 import numpy as np
 
 from .apsp import all_pairs_distances
-from .digraph import _RENDER_BYTES, _copy_rows, _edge_list_blocks, _render_rows
+from .digraph import _copy_rows, _edge_list_blocks, _render_rows
 from .digraph import Digraph, is_strongly_connected, load_digraph
 from .errors import (
     DigraphValidationError,
@@ -142,11 +142,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if connected else EXIT_NOT_STRONGLY_CONNECTED
 
 
-def _render(d: np.ndarray, fmt: str, block_bytes: int = _RENDER_BYTES) -> Iterator[str]:
+def _render(d: np.ndarray, fmt: str) -> Iterator[str]:
     """The text of the distance array ``d`` in ``fmt``, a block of rows at a time."""
     # Labels are the distances 0..n-1; UNREACHABLE (-1) takes the extra token.
-    blocks = _render_rows(d.shape, _copy_rows(d), np.arange(len(d)), *_LAYOUTS[fmt],
-                          block_bytes)
+    blocks = _render_rows(d.shape, _copy_rows(d), np.arange(len(d)), *_LAYOUTS[fmt])
     return map(bytes.decode, blocks)
 
 

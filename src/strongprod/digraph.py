@@ -1,10 +1,11 @@
 """Finite simple digraphs: construction, edge-list I/O, connectivity.
 
 Vertices are the integers ``0..n-1``. Arcs are ordered pairs without
-self-loops, at most one per pair. All values are immutable after
+self-loops, at most one per pair. A digraph keeps its sorted arc keys,
+and its rows are built on first read. All values are immutable after
 construction and safe to share across threads. Views derived on first
-read (a product's arc array, the out-adjacency) are cached; threads that
-read one first at once may each build it, and all get equal values.
+read (the arc array, the out-adjacency) are cached; threads that read
+one first at once may each build it, and all get equal values.
 """
 
 from __future__ import annotations
@@ -62,32 +63,32 @@ _VERTEX_LIMIT = 1 << 63
 _MAX_KEYED_ORDER = isqrt(np.iinfo(np.int64).max)
 
 
-@dataclass(frozen=True, eq=False)
 class Digraph:
-    """Simple digraph on ``n`` vertices with its arcs in one read-only array.
+    """Simple digraph on ``n`` vertices that keeps its sorted arc keys.
 
-    ``arc_array`` is an ``(m, 2)`` int64 array of ``(tail, head)`` rows,
-    sorted lexicographically. The constructor takes an integer ``n`` and
-    any iterable of integer pairs or an integer array, in any order, each
-    pair at most once (anything else, a bool too, is a ``TypeError``),
-    and checks it in one pass: at least one vertex, endpoints in
-    ``[0, n)``, no self-loops, no repeats. Of several faults the first
-    pair in the order given is reported, and of one pair's own faults a
-    self-loop before a range error. Equal digraphs compare and hash equal.
-    A product keeps its arc keys instead (``_from_sorted_keys``) and
-    builds ``arc_array`` on first read.
+    An arc ``(u, v)`` has the key ``u * n + v``; the keys are kept strictly
+    increasing, in ``_key_dtype(n)``, and ``m`` is their count. The rows
+    are built on first read: ``arc_array``, a read-only ``(m, 2)`` int64
+    array of ``(tail, head)`` rows sorted lexicographically, is decoded
+    from the keys when something first reads it, and kept.
+
+    The constructor takes an integer ``n`` and any iterable of integer
+    pairs or an integer array, in any order, each pair at most once
+    (anything else, a bool too, is a ``TypeError``), and checks it in one
+    pass: at least one vertex, endpoints in ``[0, n)``, no self-loops, no
+    repeats. Of several faults the first pair in the order given is
+    reported, and of one pair's own faults a self-loop before a range
+    error. Equal digraphs compare and hash equal; no attribute can be
+    assigned or deleted.
     """
 
-    n: int
-    arc_array: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", _integer(self.n))
-        if self.n < 1:
+    def __init__(self, n: int, arc_array) -> None:
+        n = _integer(n)
+        if n < 1:
             raise DigraphValidationError("digraph must have at least one vertex")
-        rows = _arc_rows(self.arc_array)
+        rows = _arc_rows(arc_array)
         # Screen the whole array; locate the first faulty row only if there is one.
-        limit = min(self.n, _VERTEX_LIMIT)
+        limit = min(n, _VERTEX_LIMIT)
         loop = rows[:, 0] == rows[:, 1]
         good = len(rows)
         if loop.any() or rows.min(initial=0) < 0 or rows.max(initial=0) >= limit:
@@ -97,8 +98,8 @@ class Digraph:
         # row an equal neighbour among the sorted keys is a repeated pair.
         # Rows in range fit the key dtype, whatever their own (object too).
         # The sum is taken in the key dtype: int64 + uint64 would be float64.
-        key = rows[:good, 0].astype(_key_dtype(self.n))
-        key *= self.n
+        key = rows[:good, 0].astype(_key_dtype(n))
+        key *= n
         np.add(key, rows[:good, 1], out=key, dtype=key.dtype, casting="unsafe")
         key.sort()
         if (key[1:] == key[:-1]).any():
@@ -111,31 +112,36 @@ class Digraph:
             u, v = rows[good].tolist()
             if u == v:
                 raise DigraphValidationError(f"self-loop at vertex {u}")
-            if min(u, v) < 0 or max(u, v) >= self.n:
-                raise DigraphValidationError(f"arc ({u}, {v}) outside [0, {self.n})")
+            if min(u, v) < 0 or max(u, v) >= n:
+                raise DigraphValidationError(f"arc ({u}, {v}) outside [0, {n})")
             raise DigraphValidationError(f"arc ({u}, {v}) outside [0, {_VERTEX_LIMIT}), "
                                          "the vertices an arc can hold")
-        rows = np.empty((len(key), 2), dtype=np.int64)
-        object.__setattr__(self, "arc_array", _read_only(_key_rows(key, self.n, rows)))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_keys", key)
 
     @staticmethod
     def _from_sorted_keys(n: int, keys: np.ndarray) -> Digraph:
         """The digraph on ``n`` vertices whose arcs have the keys ``u * n + v``.
 
-        The keys are kept, and nothing is checked or copied: ``n`` must be
-        a Python int of at least 1 and ``keys`` strictly increasing keys
-        of arcs without self-loops, each endpoint in ``[0, min(n, 2**63))``,
-        in a dtype that ``_key_dtype(n)`` allows. ``m`` is read from the
-        keys; ``arc_array`` is built from them on first read.
+        The keys are kept, as the constructor keeps the ones it makes, and
+        nothing is checked or copied: ``n`` must be a Python int of at
+        least 1 and ``keys`` strictly increasing keys of arcs without
+        self-loops, each endpoint in ``[0, min(n, 2**63))``, in a dtype
+        that ``_key_dtype(n)`` allows.
         """
-        g = object.__new__(_KeyedDigraph)
+        g = object.__new__(Digraph)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "_keys", keys)
         return g
 
     @property
     def m(self) -> int:
-        return len(self.arc_array)
+        return len(self._keys)
+
+    @cached_property
+    def arc_array(self) -> np.ndarray:
+        keys = self._keys
+        return _read_only(_key_rows(keys, self.n, np.empty((len(keys), 2), dtype=np.int64)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
@@ -145,6 +151,15 @@ class Digraph:
 
     def __hash__(self) -> int:
         return hash((self.n, self.arc_array.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Digraph(n={self.n!r}, arc_array={self.arc_array!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a Digraph is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a Digraph is immutable")
 
     @cached_property
     def _out_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -173,23 +188,6 @@ def _key_dtype(n: int) -> np.dtype:
     if n * n < 1 << 31:
         return np.dtype(np.int32)
     return np.dtype(np.int64 if n <= _MAX_KEYED_ORDER else object)
-
-
-class _KeyedDigraph(Digraph):
-    """A digraph held as its sorted arc keys, as ``Digraph._from_sorted_keys``
-    makes it: its edge list is written from the keys a block at a time,
-    and needs no arc array. ``arc_array`` is the same read-only int64
-    array as a ``Digraph``'s, built on first read and then kept.
-    """
-
-    @cached_property
-    def arc_array(self) -> np.ndarray:
-        keys = self._keys
-        return _read_only(_key_rows(keys, self.n, np.empty((len(keys), 2), dtype=np.int64)))
-
-    @property
-    def m(self) -> int:
-        return len(self._keys)
 
 
 def _key_rows(keys: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
@@ -371,15 +369,14 @@ def write_edge_list(g: Digraph, comments: Sequence[str] = ()) -> str:
     return "".join(block.decode("utf-8", "surrogatepass") for block in blocks)
 
 
-def _edge_list_blocks(g: Digraph, comments: Sequence[str] = (),
-                      block_bytes: int = _RENDER_BYTES) -> Iterator[bytes]:
+def _edge_list_blocks(g: Digraph, comments: Sequence[str] = ()) -> Iterator[bytes]:
     """The bytes of ``write_edge_list(g, comments)`` in UTF-8, lone
     surrogates passed: the head, then the arc lines a block at a time.
 
     The comments are checked and the labels made before this returns:
     every label up to ``n - 1`` when ``n <= 2 * m``, else only those in
-    use, in which each block's rows are looked up. A keyed digraph's rows
-    are decoded from its keys a block at a time; its arc array is not built.
+    use, in which each block's rows are looked up. The rows are decoded
+    from the digraph's arc keys a block at a time; its arc array is not built.
     """
     for comment in comments:
         if _LINE_BREAK.search(comment):
@@ -387,11 +384,10 @@ def _edge_list_blocks(g: Digraph, comments: Sequence[str] = (),
     head = "".join(f"# {comment}\n" for comment in comments) + f"{g.n} {g.m}\n"
     if not g.m:
         return iter((head.encode("utf-8", "surrogatepass"),))
-    if isinstance(g, _KeyedDigraph):
-        def arcs(start: int, out: np.ndarray) -> None:
-            _key_rows(g._keys[start:start + len(out)], g.n, out)
-    else:
-        arcs = _copy_rows(g.arc_array)
+
+    def arcs(start: int, out: np.ndarray) -> None:
+        _key_rows(g._keys[start:start + len(out)], g.n, out)
+
     if g.n <= 2 * g.m:
         labels, fill = np.arange(g.n), arcs
     else:
@@ -402,7 +398,7 @@ def _edge_list_blocks(g: Digraph, comments: Sequence[str] = (),
         def fill(start: int, out: np.ndarray) -> None:
             arcs(start, out)
             out[...] = np.searchsorted(labels, out)
-    return _render_rows((g.m, 2), fill, labels, None, " ", "\n", head, "\n", block_bytes)
+    return _render_rows((g.m, 2), fill, labels, None, " ", "\n", head, "\n")
 
 
 def _copy_rows(a: np.ndarray) -> Callable[[int, np.ndarray], None]:
@@ -414,7 +410,7 @@ def _copy_rows(a: np.ndarray) -> Callable[[int, np.ndarray], None]:
 
 def _render_rows(shape: tuple[int, int], fill: Callable[[int, np.ndarray], None],
                  labels: np.ndarray, extra: str | None, sep: str, row_end: str,
-                 head: str, tail: str, block_bytes: int = _RENDER_BYTES) -> Iterator[bytes]:
+                 head: str, tail: str) -> Iterator[bytes]:
     """The text of an integer table of ``shape``, as bytes, a block of rows at a time.
 
     ``fill(start, out)`` writes the table's rows from ``start`` on into the
@@ -431,7 +427,8 @@ def _render_rows(shape: tuple[int, int], fill: Callable[[int, np.ndarray], None]
     ``sep`` at its start. A block is one ``take`` into the cells, then one
     strided store writes ``row_end`` over the separator field of each
     row's last cell; deleting the NULs leaves its text. Blocks stay near
-    ``block_bytes``, so memory does not grow with the rows rendered.
+    ``_RENDER_BYTES``, read at the first block, so memory does not grow
+    with the rows rendered.
     ``head`` and ``tail`` are encoded as UTF-8, lone surrogates passed.
     """
     count, cols = shape
@@ -442,7 +439,7 @@ def _render_rows(shape: tuple[int, int], fill: Callable[[int, np.ndarray], None]
     end[:len(row_end)] = list(row_end.encode("ascii"))
     # A block's cells, their bytes and its text are alive at once, beside
     # its indices.
-    step = max(1, block_bytes // (3 * cols * cells.itemsize))
+    step = max(1, _RENDER_BYTES // (3 * cols * cells.itemsize))
     index = np.empty((min(step, count), cols), dtype=np.intp)
     buf = np.empty(index.shape, dtype=cells.dtype)
     ends = buf.view(np.uint8).reshape(*buf.shape, -1)[:, -1, -field:]

@@ -3,10 +3,11 @@
 A product vertex is a tuple of factor coordinates; its flat index is the
 row-major mixed-radix encoding with the leftmost factor most significant.
 The product carries each arc ``(t, h)`` as one integer key ``t * N + h``
-for any number of factors, and the digraph it returns keeps those keys:
-its edge list is written from them, and its arc array is built only when
-something reads it. The keys of the all-stay moves, which are not arcs,
-are never formed, so no mask drops them; and since the factors were
+for any number of factors. A ``Digraph`` keeps its sorted arc keys, and
+its rows are built on first read, so the product is handed its keys as
+they are: its edge list is written from them, and no arc array is made
+until something reads it. The keys of the all-stay moves, which are not
+arcs, are never formed, so no mask drops them; and since the factors were
 validated, the codec is a bijection and only all-stay moves have
 ``t == h``, the arcs are valid by construction and skip the ``Digraph``
 checks. Only past 2**63 vertices can an arc reach a vertex the int64 arc
@@ -71,9 +72,8 @@ def strong_product_n(
     factor is in the codec. From the rightmost factor leftwards, a
     suffix's arcs are the factor's arcs combined with every move of the
     rest, and its stays with the rest's arcs; the all-stay moves are never
-    formed. The keys are sorted once and kept by the digraph returned
-    (``Digraph._from_sorted_keys``): no arc array is made here, and
-    reading ``m`` makes none.
+    formed. The keys are sorted once and become the keys of the digraph
+    returned (``Digraph._from_sorted_keys``): no arc array is made here.
 
     The arcs are valid by construction, so the ``Digraph`` checks are
     skipped: the factors were checked, the codec is a bijection, so no

@@ -10,6 +10,7 @@ import tracemalloc
 from contextlib import redirect_stdout
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import strongprod
 import strongprod.cli as cli
+import strongprod.digraph as digraph
 from strongprod.apsp import UNREACHABLE, all_pairs_distances
 from strongprod.cli import main
 from strongprod.digraph import (
@@ -219,10 +221,10 @@ EDGE_ROWS = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]])
 EDGE_LABELS = [0, 9, 10, 99, 100, 7]
 
 
-def _edge_chunks(rows, labels, block_bytes):
+def _edge_chunks(rows, labels):
     """Rows of label indices through the shared renderer, laid out as edge lines."""
     blocks = _render_rows(rows.shape, _copy_rows(rows), np.array(labels), None, " ", "\n",
-                          "", "\n", block_bytes)
+                          "", "\n")
     return map(bytes.decode, blocks)
 
 
@@ -275,19 +277,20 @@ class TestApspRendering:
         # row end "],[" is wider than the separator ",".
         np.arange(144).reshape(12, 12) % 13 - 1,
     ], ids=["unreachable-1", "mixed-12"])
-    def test_layouts_match_reference(self, d, fmt):
+    def test_layouts_match_reference(self, monkeypatch, d, fmt):
         for block_bytes in (0, 40, 1 << 17):
-            assert "".join(cli._render(d, fmt, block_bytes)) == _reference_apsp(d, fmt)
+            monkeypatch.setattr(digraph, "_RENDER_BYTES", block_bytes)
+            assert "".join(cli._render(d, fmt)) == _reference_apsp(d, fmt)
 
-    def test_edge_labels_of_mixed_digit_counts(self):
+    def test_edge_labels_of_mixed_digit_counts(self, monkeypatch):
         labels = [7, 10**18, 0, 12345, 99, 2**63 - 1]
         rows = np.array([[0, 1], [2, 3], [4, 5], [5, 0], [3, 3]])
         for block_bytes in (0, 50, 1 << 17):
-            assert "".join(_edge_chunks(rows, labels, block_bytes)) == _reference_edges(
-                rows, labels)
+            monkeypatch.setattr(digraph, "_RENDER_BYTES", block_bytes)
+            assert "".join(_edge_chunks(rows, labels)) == _reference_edges(rows, labels)
 
     @pytest.mark.parametrize("fmt", ["tsv", "json", "edges"])
-    def test_every_block_size(self, fmt):
+    def test_every_block_size(self, monkeypatch, fmt):
         # Budgets from one row per block to all six at once, so the last row
         # ends a block of every size.
         if fmt == "edges":
@@ -299,18 +302,20 @@ class TestApspRendering:
             expected = _reference_apsp(d, fmt)
         sizes = set()
         for block_bytes in range(0, 2000, 5):
-            chunks = list(render(block_bytes))
+            monkeypatch.setattr(digraph, "_RENDER_BYTES", block_bytes)
+            chunks = list(render())
             sizes.add(len(chunks))
             assert "".join(chunks) == expected, block_bytes
         # Head and tail, plus 6, 3, 2 or 1 blocks of rows.
         assert sizes == {8, 5, 4, 3}
 
-    def test_wide_tokens_over_many_blocks(self):
+    def test_wide_tokens_over_many_blocks(self, monkeypatch):
         n = 1200
         d = (np.arange(n)[None, :] - np.arange(n)[:, None]).astype(np.int16)
         d[d < 0] = UNREACHABLE
+        monkeypatch.setattr(digraph, "_RENDER_BYTES", n * 100)
         for fmt in ("tsv", "json"):
-            chunks = list(cli._render(d, fmt, block_bytes=n * 100))
+            chunks = list(cli._render(d, fmt))
             assert len(chunks) > 100
             assert "".join(chunks) == _reference_apsp(d, fmt)
 
@@ -318,10 +323,10 @@ class TestApspRendering:
     @given(d=_square_arrays(9), fmt=st.sampled_from(["tsv", "json"]),
            edges=_edge_tables(40), block_bytes=st.integers(0, 2000))
     def test_arbitrary_arrays(self, d, fmt, edges, block_bytes):
-        assert "".join(cli._render(d, fmt, block_bytes)) == _reference_apsp(d, fmt)
         rows, labels = edges
-        assert "".join(_edge_chunks(rows, labels, block_bytes)) == _reference_edges(
-            rows, labels)
+        with mock.patch.object(digraph, "_RENDER_BYTES", block_bytes):
+            assert "".join(cli._render(d, fmt)) == _reference_apsp(d, fmt)
+            assert "".join(_edge_chunks(rows, labels)) == _reference_edges(rows, labels)
 
 
 class TestProduct:
@@ -512,7 +517,8 @@ def test_streamed_product_bytes(gs, block_bytes, spread):
     assert write_edge_list(p).encode() == expected
     # Budgets from one arc line per block up: blocks end inside the product.
     for g in (p, Digraph(p.n, arcs)):
-        assert b"".join(_edge_list_blocks(g, (), block_bytes)) == expected
+        with mock.patch.object(digraph, "_RENDER_BYTES", block_bytes):
+            assert b"".join(_edge_list_blocks(g)) == expected
     if len(gs) > 1:
         stdout, out = _written_product(gs, ["--max-product-vertices", str(10**6)])
         assert stdout == out

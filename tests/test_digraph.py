@@ -20,6 +20,7 @@ from strongprod.digraph import (
 )
 from strongprod.errors import DigraphValidationError, EdgeListFormatError
 from strongprod.generate import complete_digraph, directed_cycle, directed_path
+from strongprod.product import strong_product_n
 
 from .strategies import arc_set, digraphs
 
@@ -314,6 +315,34 @@ class TestDigraphValue:
         if g.m:
             with pytest.raises(ValueError):
                 a[0, 0] = a[0, 1]
+
+    @given(digraphs(max_n=8))
+    def test_rows_are_built_on_first_read(self, g):
+        # The digraph keeps its arc keys: reading m or writing the edge list
+        # builds no row array, and the first read of arc_array builds it.
+        pairs = sorted(arc_set(g), reverse=True)
+        counted, written = Digraph(g.n, pairs), Digraph(g.n, pairs)
+        assert counted.m == g.m
+        assert write_edge_list(written) == write_edge_list(g)
+        for h in (counted, written):
+            assert "arc_array" not in vars(h)
+            a = h.arc_array
+            assert a.dtype == np.int64 and not a.flags.writeable
+            assert a.tolist() == sorted(map(list, pairs))
+            assert vars(h)["arc_array"] is a and h.arc_array is a
+
+    @pytest.mark.parametrize("g", [
+        directed_cycle(3),
+        strong_product_n([directed_cycle(2), directed_path(3)]),
+    ], ids=["validated", "product"])
+    @pytest.mark.parametrize("name", ["n", "arc_array"])
+    def test_attributes_cannot_be_assigned_or_deleted(self, g, name):
+        before = (g.n, g.arc_array.tolist())
+        with pytest.raises(AttributeError):
+            setattr(g, name, getattr(g, name))
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+        assert (g.n, g.arc_array.tolist()) == before
 
     @given(digraphs(max_n=8))
     def test_derived_views_match_their_definitions(self, g):
