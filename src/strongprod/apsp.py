@@ -86,16 +86,18 @@ class DistanceMatrix:
 
     @cached_property
     def all_finite(self) -> bool:
-        return not (self.array == UNREACHABLE).any()
+        return bool(self.array.min(initial=0) != UNREACHABLE)
 
     def finite_array(self) -> np.ndarray:
         """The read-only distance array, once every pair is known reachable.
 
-        Raises :class:`NotStronglyConnectedError` naming the first
-        unreachable pair in row-major order.
+        Raises :class:`NotStronglyConnectedError` naming the first unreachable
+        pair in row-major order. Like ``all_finite``, it makes no n x n
+        temporary: no mask, and no ``argmin``, which copies an int16 matrix.
         """
         if not self.all_finite:
-            i, j = divmod(int(np.argmax(self.array == UNREACHABLE)), self.n)
+            i = int(np.argmax(self.array.min(axis=1) == UNREACHABLE))
+            j = int(np.argmax(self.array[i] == UNREACHABLE))
             raise NotStronglyConnectedError(f"no directed path from {i} to {j}")
         return self.array
 
@@ -104,7 +106,8 @@ def _initial_distances(g: Digraph) -> np.ndarray:
     """Arcs at 1, the diagonal at 0, every other pair at the kernel's sentinel."""
     dtype = _kernel_dtype(g.n)
     d = np.full((g.n, g.n), _sentinel(dtype), dtype=dtype)
-    d[g.arc_array[:, 0], g.arc_array[:, 1]] = 1
+    offsets, heads = g._out_csr
+    d[np.repeat(np.arange(g.n), np.diff(offsets)), heads] = 1
     np.fill_diagonal(d, 0)
     return d
 

@@ -1,11 +1,11 @@
 """Finite simple digraphs: construction, edge-list I/O, connectivity.
 
 Vertices are the integers ``0..n-1``. Arcs are ordered pairs without
-self-loops, at most one per pair. A digraph keeps its sorted arc keys,
-and its rows are built on first read. All values are immutable after
-construction and safe to share across threads. Views derived on first
-read (the arc array, the out-adjacency) are cached; threads that read
-one first at once may each build it, and all get equal values.
+self-loops, at most one per pair. A digraph keeps its sorted arc keys.
+All values are immutable after construction and safe to share across
+threads. Views derived from the keys on first read (the out-adjacency,
+the arc rows) are cached; threads that read one first at once may each
+build it, and all get equal values.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ _HEADER = re.compile(
     rf"[ \t]*([0-9]{{1,18}})[ \t]+([0-9]{{1,18}})[ \t]*(?:\r\n|[{_BREAKS}]|\Z)")
 _LINE_BREAK = re.compile(f"[{_BREAKS}]")
 
-# Arcs are stored as int64, whatever the order.
+# Arc rows are int64, whatever the order.
 _VERTEX_LIMIT = 1 << 63
 
 # Largest order whose arc keys ``u * n + v`` fit in int64.
@@ -67,10 +67,10 @@ class Digraph:
     """Simple digraph on ``n`` vertices that keeps its sorted arc keys.
 
     An arc ``(u, v)`` has the key ``u * n + v``; the keys are kept strictly
-    increasing, in ``_key_dtype(n)``, and ``m`` is their count. The rows
-    are built on first read: ``arc_array``, a read-only ``(m, 2)`` int64
-    array of ``(tail, head)`` rows sorted lexicographically, is decoded
-    from the keys when something first reads it, and kept.
+    increasing, in ``_key_dtype(n)``, and ``m`` is their count. Internal
+    readers take ``_out_csr``, built from the keys. ``arc_array``, a
+    read-only ``(m, 2)`` int64 array of ``(tail, head)`` rows sorted
+    lexicographically, is decoded on first read, for comparisons and repr.
 
     The constructor takes an integer ``n`` and any iterable of integer
     pairs or an integer array, in any order, each pair at most once
@@ -163,12 +163,12 @@ class Digraph:
 
     @cached_property
     def _out_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Offsets and heads of the arcs, sorted by tail.
+        """Offsets and heads of the arcs, sorted by tail, read from the keys.
 
-        The heads of u's arcs are ``heads[offsets[u]:offsets[u + 1]]``.
+        The heads of u's arcs are ``heads[offsets[u]:offsets[u + 1]]``, in the key dtype.
         """
-        offsets = np.searchsorted(self.arc_array[:, 0], np.arange(self.n + 1))
-        return offsets, self.arc_array[:, 1]
+        keys, n = self._keys, self.n
+        return np.searchsorted(keys, np.arange(n + 1) * n), keys % n
 
     @cached_property
     def _out_lists(self) -> tuple[list[int], list[int]]:
@@ -376,7 +376,7 @@ def _edge_list_blocks(g: Digraph, comments: Sequence[str] = ()) -> Iterator[byte
     The comments are checked and the labels made before this returns:
     every label up to ``n - 1`` when ``n <= 2 * m``, else only those in
     use, in which each block's rows are looked up. The rows are decoded
-    from the digraph's arc keys a block at a time; its arc array is not built.
+    from the digraph's arc keys a block at a time; no arc rows are built whole.
     """
     for comment in comments:
         if _LINE_BREAK.search(comment):
@@ -391,9 +391,7 @@ def _edge_list_blocks(g: Digraph, comments: Sequence[str] = ()) -> Iterator[byte
     if g.n <= 2 * g.m:
         labels, fill = np.arange(g.n), arcs
     else:
-        every = np.empty((g.m, 2), dtype=np.intp)
-        arcs(0, every)
-        labels = np.unique(every)
+        labels = np.unique(np.concatenate((g._keys // g.n, g._keys % g.n)))
 
         def fill(start: int, out: np.ndarray) -> None:
             arcs(start, out)
@@ -499,24 +497,29 @@ def _bfs(g: Digraph, source: int) -> list[int | None]:
 def _fails_degree_screen(g: Digraph) -> bool:
     """Whether ``g`` has two or more vertices and one without an out-arc or an
     in-arc. Fewer arcs than vertices decide it first, sparing a huge order any
-    n-sized array; marks set by index then copy no arc column, as bincount would.
+    n-sized array; then the out-adjacency's offsets and heads decide it.
     """
     if g.m < g.n:
         return g.n > 1
-    has_arc = np.zeros((2, g.n), dtype=bool)
-    has_arc[0, g.arc_array[:, 0]] = True
-    has_arc[1, g.arc_array[:, 1]] = True
-    return not has_arc.all()
+    offsets, heads = g._out_csr
+    has_in = np.zeros(g.n, dtype=bool)
+    has_in[heads] = True
+    return not (has_in.all() and (offsets[1:] > offsets[:-1]).all())
+
+
+def _reverse(g: Digraph) -> Digraph:
+    """``g`` with its arcs turned round, keyed ``head * n + tail``; valid, so unchecked."""
+    return Digraph._from_sorted_keys(g.n, np.sort(g._keys % g.n * g.n + g._keys // g.n))
 
 
 def is_strongly_connected(g: Digraph) -> bool:
     """True iff every ordered vertex pair is joined by a directed path.
 
     A vertex without an out-arc or an in-arc decides it first. Then a
-    breadth-first walk from vertex 0, on ``g`` and on its reverse: a
-    digraph is strongly connected iff vertex 0 reaches everything and
-    everything reaches it.
+    breadth-first walk from vertex 0 over the out-adjacency of ``g`` and
+    of its reverse, made from the keys: a digraph is strongly connected
+    iff vertex 0 reaches everything and everything reaches it.
     """
     return (not _fails_degree_screen(g)
             and None not in _bfs(g, 0)
-            and None not in _bfs(Digraph(g.n, g.arc_array[:, ::-1]), 0))
+            and None not in _bfs(_reverse(g), 0))

@@ -205,10 +205,10 @@ def average_distance_product_n(
     if method == "oracle":
         _check_connected(gs)
         product = strong_product_n(gs, max_vertices=max_product_vertices)
-        # The APSP reads the product's arc array. Built here, before the
+        # The APSP reads the product's out-adjacency. Built here, before the
         # distance matrix, one that does not fit refuses the product.
         try:
-            product.arc_array
+            product._out_csr
         except MemoryError:
             raise _too_large(product.n, product.m) from None
         ds = [all_pairs_distances(product)]

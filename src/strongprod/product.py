@@ -3,15 +3,13 @@
 A product vertex is a tuple of factor coordinates; its flat index is the
 row-major mixed-radix encoding with the leftmost factor most significant.
 The product carries each arc ``(t, h)`` as one integer key ``t * N + h``
-for any number of factors. A ``Digraph`` keeps its sorted arc keys, and
-its rows are built on first read, so the product is handed its keys as
-they are: its edge list is written from them, and no arc array is made
-until something reads it. The keys of the all-stay moves, which are not
-arcs, are never formed, so no mask drops them; and since the factors were
-validated, the codec is a bijection and only all-stay moves have
-``t == h``, the arcs are valid by construction and skip the ``Digraph``
-checks. Only past 2**63 vertices can an arc reach a vertex the int64 arc
-array cannot hold; the product is refused then.
+for any number of factors, formed from the factors' own keys, and a
+``Digraph`` keeps its sorted keys as they are. The all-stay moves, which
+are not arcs, are never formed; since the factors were validated, the
+codec is a bijection and only all-stay moves have ``t == h``, the arcs
+are valid by construction and skip the ``Digraph`` checks. Only past
+2**63 vertices can an arc reach a vertex that int64 cannot hold; the
+product is refused then.
 """
 
 from __future__ import annotations
@@ -69,18 +67,19 @@ def strong_product_n(
     ``prod(n_i + m_i) - prod(n_i)`` arcs in all. The arc ``(t, h)`` has
     the key ``t * N + h`` on N product vertices; the codec is linear, so a
     move's key is the sum of its factors' move keys, each weighted as its
-    factor is in the codec. From the rightmost factor leftwards, a
-    suffix's arcs are the factor's arcs combined with every move of the
-    rest, and its stays with the rest's arcs; the all-stay moves are never
-    formed. The keys are sorted once and become the keys of the digraph
-    returned (``Digraph._from_sorted_keys``): no arc array is made here.
+    factor is in the codec, and a factor's arc key ``t * n_g + h`` becomes
+    the step ``t * N + h``. From the rightmost factor leftwards, a suffix's
+    arcs are the factor's arcs combined with every move of the rest, and
+    its stays with the rest's arcs; the all-stay moves are never formed.
+    The keys are sorted once and become the keys of the digraph returned
+    (``Digraph._from_sorted_keys``); no rows are decoded.
 
     The arcs are valid by construction, so the ``Digraph`` checks are
     skipped: the factors were checked, the codec is a bijection, so no
-    arc repeats, and only all-stay moves have ``t == h``. Only the range
-    of an int64 arc array is not guaranteed: past 2**63 vertices an arc
-    may reach a vertex it cannot hold. Raises :class:`ProductTooLargeError`
-    then, past ``max_vertices``, or when the keys do not fit in memory.
+    arc repeats, and only all-stay moves have ``t == h``. Only the int64
+    range is not guaranteed: past 2**63 vertices an arc may reach a vertex
+    it cannot hold. Raises :class:`ProductTooLargeError` then, past
+    ``max_vertices``, or when the keys do not fit in memory.
     """
     if not gs:
         raise ValueError("need at least one factor")
@@ -100,8 +99,8 @@ def strong_product_n(
         # N * N, so the key dtype holds it.
         keys, order = np.zeros(0, dtype=dtype), 1
         for g in reversed(gs):
-            tails, heads = g.arc_array.astype(dtype, copy=False).T
-            steps = (tails * n + heads) * order
+            k = g._keys.astype(dtype, copy=False)
+            steps = (k + k // g.n * (n - g.n)) * order
             # The factor's steps with every move of the suffix, its stays with
             # the suffix's arcs. The suffix's stays x -> x have keys x * (N + 1);
             # each all-stay array is formed only when it pairs with something.

@@ -1,10 +1,10 @@
-"""Digraph families and seeded random generators for tests and experiments."""
+"""Digraph families and seeded random generators for the tests."""
 
 from __future__ import annotations
 
 import random
 
-from .digraph import Digraph, is_strongly_connected
+from strongprod.digraph import Digraph, is_strongly_connected
 
 
 def directed_cycle(n: int) -> Digraph:
@@ -22,6 +22,15 @@ def complete_digraph(n: int) -> Digraph:
 def directed_path(n: int) -> Digraph:
     """0 -> 1 -> ... -> n-1; not strongly connected for n >= 2."""
     return Digraph(n, frozenset((i, i + 1) for i in range(n - 1)))
+
+
+def half_clique_and_path(n: int) -> Digraph:
+    """A complete digraph on half the vertices, a path through the rest back
+    to vertex 0: many arcs and a diameter of about n / 2."""
+    h = n // 2
+    arcs = [(u, v) for u in range(h) for v in range(h) if u != v]
+    arcs += [(v, v + 1) for v in range(h - 1, n - 1)] + [(n - 1, 0)]
+    return Digraph(n, arcs)
 
 
 def random_digraph(rng: random.Random, n: int, density: float) -> Digraph:

@@ -16,12 +16,6 @@ import pytest
 from strongprod.apsp import UNREACHABLE, all_pairs_distances, bfs_distances, diameter
 from strongprod.cli import main
 from strongprod.digraph import write_edge_list
-from strongprod.generate import (
-    complete_digraph,
-    directed_cycle,
-    random_digraph,
-    random_strongly_connected,
-)
 from strongprod.metrics import (
     average_distance_product_n,
     product_distance_n,
@@ -29,6 +23,13 @@ from strongprod.metrics import (
     sigma_naive_n,
 )
 from strongprod.product import strong_product_n
+
+from .generate import (
+    complete_digraph,
+    directed_cycle,
+    random_digraph,
+    random_strongly_connected,
+)
 
 SEED = 20250810
 

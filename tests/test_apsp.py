@@ -5,6 +5,7 @@ small graphs before being frozen here.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,14 +31,15 @@ from strongprod.errors import (
     NotStronglyConnectedError,
     OrderTooSmallError,
 )
-from strongprod.generate import (
+from strongprod.metrics import average_distance_product_n
+
+from .generate import (
     complete_digraph,
     directed_cycle,
     directed_path,
+    half_clique_and_path,
     random_digraph,
 )
-from strongprod.metrics import average_distance_product_n
-
 from .strategies import arc_set, digraphs, strongly_connected_digraphs
 
 
@@ -115,6 +117,26 @@ class TestDistanceMatrixValue:
         d = all_pairs_distances(directed_path(3))
         with pytest.raises(NotStronglyConnectedError, match="from 1 to 0$"):
             d.finite_array()
+
+    def test_unreachable_pair_is_found_without_an_n_by_n_temporary(self):
+        # ``== UNREACHABLE`` over the whole matrix would make a 4 MB bool
+        # temporary here, and ``argmin`` an 8 MB copy; reductions make none.
+        n = 2000
+        a = np.ones((n, n), dtype=np.int16)
+        np.fill_diagonal(a, 0)
+        a[1500, 3] = a[1234, 1900] = a[1234, 567] = UNREACHABLE
+        d = DistanceMatrix(a)
+        tracemalloc.start()
+        try:
+            finite = d.all_finite
+            with pytest.raises(NotStronglyConnectedError,
+                               match="^no directed path from 1234 to 567$"):
+                d.finite_array()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not finite
+        assert peak < n * n // 64
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -317,17 +339,8 @@ def test_packed_bfs_matches_bfs_everywhere(g):
         assert d[source].tolist() == bfs_row(g, source)
 
 
-def _half_clique_and_path(n):
-    """A complete digraph on half the vertices, a path through the rest back
-    to vertex 0: many arcs and a diameter of about n / 2."""
-    h = n // 2
-    arcs = [(u, v) for u in range(h) for v in range(h) if u != v]
-    arcs += [(v, v + 1) for v in range(h - 1, n - 1)] + [(n - 1, 0)]
-    return Digraph(n, arcs)
-
-
 @pytest.mark.parametrize("g, floyd_runs", [
-    (_half_clique_and_path(200), 1),
+    (half_clique_and_path(200), 1),
     (directed_cycle(200), 0),
     (_family("dense", 129), 0),
     # Diameter equal to the level budget: the last level, which reaches

@@ -31,9 +31,9 @@ from strongprod.digraph import (
     parse_edge_list,
     write_edge_list,
 )
-from strongprod.generate import complete_digraph, directed_cycle, directed_path
 from strongprod.product import strong_product_n
 
+from .generate import complete_digraph, directed_cycle, directed_path
 from .strategies import digraphs
 
 # A huge declared order with one arc: too few arcs to be strongly connected.
@@ -744,7 +744,9 @@ def test_product_too_large_for_memory_exits_four(graph_file, argv, text, message
 
 def test_oracle_arc_array_past_memory_exits_four(graph_file):
     # The 99,990,000 int32 keys of K100 x K100 (0.4 GB) fit under the child's
-    # 1 GiB, but the arc array that the oracle's APSP reads (1.6 GB) does not.
+    # 1 GiB, but the out-adjacency that the oracle's APSP reads does not: its
+    # int32 heads take another 0.4 GB, and its offsets are searched with
+    # int64 bounds, for which numpy copies the keys to int64 (0.8 GB).
     path = graph_file("k100.el", complete_digraph(100))
     done = _run_cli_limited(["avgdist", "--method", "oracle", path, path], 1 << 30)
     assert done.returncode == 4, done.stderr

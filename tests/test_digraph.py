@@ -7,21 +7,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from strongprod.apsp import UNREACHABLE, all_pairs_distances
+import strongprod.apsp as apsp
+from strongprod.apsp import UNREACHABLE, all_pairs_distances, bfs_distances
 from strongprod.digraph import (
+    _MAX_KEYED_ORDER,
     Digraph,
     EdgeListDocument,
+    _edge_list_blocks,
     _parse_arrays,
     _parse_lines,
+    _reverse,
     build_digraph,
     is_strongly_connected,
     parse_edge_list,
     write_edge_list,
 )
 from strongprod.errors import DigraphValidationError, EdgeListFormatError
-from strongprod.generate import complete_digraph, directed_cycle, directed_path
+from strongprod.metrics import METHODS, average_distance_product_n
 from strongprod.product import strong_product_n
 
+from .generate import complete_digraph, directed_cycle, directed_path, half_clique_and_path
 from .strategies import arc_set, digraphs
 
 
@@ -347,12 +352,12 @@ class TestDigraphValue:
     @given(digraphs(max_n=8))
     def test_derived_views_match_their_definitions(self, g):
         offsets, heads = g._out_csr
+        assert heads.dtype == g._keys.dtype
         assert _csr_rows(offsets, heads) == _successors_by_definition(g)
         bounds, head_list = g._out_lists
         assert (bounds, head_list) == (offsets.tolist(), heads.tolist())
         # The connectivity walk reads the reverse digraph's out-rows as in-rows.
-        reverse = Digraph(g.n, g.arc_array[:, ::-1])
-        assert _csr_rows(*reverse._out_csr) == _predecessors_by_definition(g)
+        assert _csr_rows(*_reverse(g)._out_csr) == _predecessors_by_definition(g)
         a = _dense(g)
         arcs = arc_set(g)
         for u in range(g.n):
@@ -537,6 +542,67 @@ def test_strong_connectivity_matches_distance_matrix(g):
         if i != j
     )
     assert is_strongly_connected(g) == reachable
+
+
+@st.composite
+def _sparse_digraphs(draw):
+    """A few arcs on an order up to 2**63, most past the int64 arc keys."""
+    n = draw(st.integers(2, 1 << 63))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.sets(st.tuples(ends, ends).filter(lambda p: p[0] != p[1]), max_size=5))
+    return Digraph(n, pairs)
+
+
+_FIRST_OBJECT = _MAX_KEYED_ORDER + 1
+
+
+@given(digraphs(max_n=8) | _sparse_digraphs())
+@example(Digraph(_FIRST_OBJECT, [(0, _FIRST_OBJECT - 1), (_FIRST_OBJECT - 1, 1), (2, 0)]))
+def test_reverse_from_the_keys_is_the_validated_reverse(g):
+    r = _reverse(g)
+    assert r._keys.dtype == g._keys.dtype
+    assert r == Digraph(g.n, g.arc_array[:, ::-1])
+
+
+def _no_rows(g):
+    raise AssertionError("arc rows built")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Digraph(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 2)]),
+    lambda: strong_product_n([directed_cycle(2), complete_digraph(3)]),
+], ids=["validated", "product"])
+@pytest.mark.parametrize("call", [
+    is_strongly_connected,
+    all_pairs_distances,
+    lambda g: strong_product_n([g, g]),
+    *(lambda g, method=method: average_distance_product_n([g, g], method)
+      for method in METHODS),
+    lambda g: b"".join(_edge_list_blocks(g)),
+], ids=["connected", "apsp", "product", *METHODS, "edge-list"])
+def test_no_internal_path_builds_rows(make, call, monkeypatch):
+    # Every internal reader takes the out-adjacency built from the keys; only
+    # comparisons and repr read the arc rows. While the rows cannot be read,
+    # nor can a digraph made inside the call (a product, a reverse) read them.
+    g = make()
+    monkeypatch.setattr(Digraph, "arc_array", property(_no_rows))
+    call(g)
+    monkeypatch.undo()
+    assert "arc_array" not in vars(g)
+
+
+def test_floyd_warshall_builds_no_rows(monkeypatch):
+    # Past the work bound the packed search gives way to Floyd-Warshall,
+    # whose initial distances come from the out-adjacency too.
+    g = half_clique_and_path(200)
+    relaxed = []
+    relax = apsp._relax
+    monkeypatch.setattr(apsp, "_relax", lambda d: relaxed.append(relax(d)))
+    monkeypatch.setattr(Digraph, "arc_array", property(_no_rows))
+    d = all_pairs_distances(g)
+    monkeypatch.undo()
+    assert relaxed and "arc_array" not in vars(g)
+    assert d.array[0].tolist() == list(bfs_distances(g, 0))
 
 
 # Pieces of edge-list text: plain lines, and every form the array parser

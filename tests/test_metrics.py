@@ -17,7 +17,6 @@ import strongprod.metrics as metrics
 from strongprod.apsp import DistanceMatrix, all_pairs_distances, diameter
 from strongprod.digraph import Digraph
 from strongprod.errors import NotStronglyConnectedError, OrderTooSmallError
-from strongprod.generate import complete_digraph, directed_cycle, directed_path
 from strongprod.metrics import (
     _decimal_12sig,
     average_distance_product_n,
@@ -27,6 +26,7 @@ from strongprod.metrics import (
 )
 from strongprod.product import strong_product_n
 
+from .generate import complete_digraph, directed_cycle, directed_path
 from .strategies import arc_set, strongly_connected_digraphs
 
 D_C2 = all_pairs_distances(directed_cycle(2))

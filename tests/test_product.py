@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 
 from strongprod.digraph import _MAX_KEYED_ORDER, Digraph, is_strongly_connected
 from strongprod.errors import ProductTooLargeError
-from strongprod.generate import complete_digraph, directed_cycle, directed_path
 from strongprod.product import (
     decode_label,
     encode_label,
     strong_product_n,
 )
 
+from .generate import complete_digraph, directed_cycle, directed_path
 from .strategies import arc_set, digraphs, strongly_connected_digraphs
 
 
