@@ -15,8 +15,9 @@ be read, or ``OrderTooSmallError``), 3 not strongly connected
 (``ProductTooLargeError`` for the product's vertex limit, which bounds
 ``avgdist --method naive`` and ``oracle``, or a product too large for
 memory; ``DistanceMatrixTooLargeError`` for a distance matrix too large
-for memory). Each ends the run with one ``strongprod: error:`` line on
-standard error. ``avgdist`` learns a factor's
+for memory; any other allocation that fails, with the fixed message
+``out of memory``). Each ends the run with one ``strongprod: error:``
+line on standard error. ``avgdist`` learns a factor's
 strong connectivity from its distance matrix, so a factor in which every
 vertex has an out-arc and an in-arc but whose matrix does not fit exits 4,
 connected or not; one with a vertex that lacks either exits 3 at once.
@@ -45,7 +46,7 @@ from .errors import (
     ProductTooLargeError,
 )
 from .metrics import METHODS, _check_connected, average_distance_product_n
-from .product import DEFAULT_MAX_PRODUCT_VERTICES, _too_large, strong_product_n
+from .product import DEFAULT_MAX_PRODUCT_VERTICES, strong_product_n
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -168,13 +169,10 @@ def cmd_product(args: argparse.Namespace) -> int:
         "vertex index = row-major encoding of factor coordinates, "
         "leftmost factor most significant",
     )
-    try:
-        blocks = _edge_list_blocks(product, comments)
-        # The head comes once the labels, cells and buffers are made, so a
-        # product too large for them touches no file.
-        blocks = chain([next(blocks)], blocks)
-    except MemoryError:
-        raise _too_large(product.n, product.m) from None
+    blocks = _edge_list_blocks(product, comments)
+    # The head comes once the labels, cells and buffers are made, so a
+    # product too large for them touches no file.
+    blocks = chain([next(blocks)], blocks)
     # Each block is written as it is made, and none is kept.
     if args.out is None:
         sys.stdout.writelines(map(bytes.decode, blocks))
@@ -220,6 +218,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"strongprod: error: {exc}", file=sys.stderr)
         return next(code for error, code in _EXIT_CODES.items()
                     if isinstance(exc, error))
+    except MemoryError:
+        # Numpy's own text names sizes that vary with its version.
+        print("strongprod: error: out of memory", file=sys.stderr)
+        return EXIT_SIZE_LIMIT
 
 
 def run() -> None:

@@ -37,10 +37,6 @@ class EdgeListDocument:
     arcs: np.ndarray
 
 
-# Bytes the array parser accepts after the header.
-_ARC_BYTES = np.zeros(256, dtype=bool)
-_ARC_BYTES[list(b"0123456789 \t\n")] = True
-
 # Longest number the array parser reads: 10**18 - 1 < 2**63.
 _MAX_DIGITS = 18
 _POWERS = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
@@ -166,9 +162,10 @@ class Digraph:
         """Offsets and heads of the arcs, sorted by tail, read from the keys.
 
         The heads of u's arcs are ``heads[offsets[u]:offsets[u + 1]]``, in the key dtype.
+        The bounds ``u * n`` are in the key dtype, so numpy searches without copying the keys.
         """
         keys, n = self._keys, self.n
-        return np.searchsorted(keys, np.arange(n + 1) * n), keys % n
+        return np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n), keys % n
 
     @cached_property
     def _out_lists(self) -> tuple[list[int], list[int]]:
@@ -269,9 +266,11 @@ def _parse_arrays(text: str) -> EdgeListDocument | None:
     body = text[header.end():]
     if not body.isascii():
         return None
-    a = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    if not _ARC_BYTES.take(a).all():
+    data = body.encode("ascii")
+    # Plain iff deleting the digits and blanks leaves nothing.
+    if data.translate(None, b"0123456789 \t\n"):
         return None
+    a = np.frombuffer(data, dtype=np.uint8)
     # Numbers are the digit runs; the other bytes are blanks and newlines.
     is_digit = np.zeros(len(a) + 2, dtype=bool)
     np.greater_equal(a, ord("0"), out=is_digit[1:-1])

@@ -28,7 +28,7 @@ import numpy as np
 from .apsp import DistanceMatrix, all_pairs_distances, diameter
 from .digraph import Digraph, _fails_degree_screen, is_strongly_connected
 from .errors import NotStronglyConnectedError, OrderTooSmallError, ProductTooLargeError
-from .product import DEFAULT_MAX_PRODUCT_VERTICES, _too_large, strong_product_n
+from .product import DEFAULT_MAX_PRODUCT_VERTICES, strong_product_n
 
 METHODS = ("naive", "counting", "oracle")
 
@@ -205,12 +205,6 @@ def average_distance_product_n(
     if method == "oracle":
         _check_connected(gs)
         product = strong_product_n(gs, max_vertices=max_product_vertices)
-        # The APSP reads the product's out-adjacency. Built here, before the
-        # distance matrix, one that does not fit refuses the product.
-        try:
-            product._out_csr
-        except MemoryError:
-            raise _too_large(product.n, product.m) from None
         ds = [all_pairs_distances(product)]
     else:
         ds = _factor_matrices(gs)

@@ -451,6 +451,20 @@ class TestProduct:
         assert kept.read_bytes() == b"earlier output\n"
         assert not missing.exists()
 
+    def test_writer_out_of_memory_leaves_out_alone(self, graph_file, capsys, tmp_path,
+                                                   monkeypatch):
+        def fail(*args):
+            raise MemoryError()
+
+        path = graph_file("c3.el", directed_cycle(3))
+        out = tmp_path / "kept.el"
+        out.write_bytes(b"earlier output\n")
+        # The writer's cell table is made before the head is yielded.
+        monkeypatch.setattr(digraph, "_cell_table", fail)
+        assert main(["product", path, path, "--out", str(out)]) == 4
+        assert capsys.readouterr() == ("", "strongprod: error: out of memory\n")
+        assert out.read_bytes() == b"earlier output\n"
+
     def test_writes_no_arc_array(self, graph_file, tmp_path):
         # 60 vertices and 600 arcs, squared: 432,000 arcs, whose int64 arc
         # array would take 16 bytes each.
@@ -744,15 +758,42 @@ def test_product_too_large_for_memory_exits_four(graph_file, argv, text, message
 
 def test_oracle_arc_array_past_memory_exits_four(graph_file):
     # The 99,990,000 int32 keys of K100 x K100 (0.4 GB) fit under the child's
-    # 1 GiB, but the out-adjacency that the oracle's APSP reads does not: its
-    # int32 heads take another 0.4 GB, and its offsets are searched with
-    # int64 bounds, for which numpy copies the keys to int64 (0.8 GB).
+    # 1 GiB, but the oracle's APSP does not: its 0.2 GB distance matrix and
+    # the 0.4 GB int32 heads of the out-adjacency it reads come on top.
     path = graph_file("k100.el", complete_digraph(100))
     done = _run_cli_limited(["avgdist", "--method", "oracle", path, path], 1 << 30)
     assert done.returncode == 4, done.stderr
     assert done.stdout == ""
-    assert done.stderr == ("strongprod: error: product has 10000 vertices and "
-                           "99990000 arcs, too many for memory\n")
+    assert done.stderr == ("strongprod: error: the 10000 x 10000 distance matrix "
+                           "(200000000 bytes) does not fit in memory\n")
+
+
+def test_plain_file_past_memory_exits_four(graph_file):
+    # 3,000,000 arc lines, 12 MB: parsing and validating them takes more than
+    # the child's 300 MiB, and numpy's allocation is what fails.
+    path = graph_file("big.el", None, text="3 3000000\n" + "0 1\n" * 3000000)
+    done = _run_cli_limited(["check", path], 300 << 20)
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 4, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == "strongprod: error: out of memory\n"
+
+
+@pytest.mark.parametrize("command, callee", [
+    ("check", "is_strongly_connected"),
+    ("apsp", "all_pairs_distances"),
+    ("product", "strong_product_n"),
+    ("avgdist", "average_distance_product_n"),
+])
+def test_any_memory_error_exits_four(graph_file, capsys, monkeypatch, command, callee):
+    def fail(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, callee, fail)
+    path = graph_file("c3.el", directed_cycle(3))
+    paths = [path] if command in ("check", "apsp") else [path, path]
+    assert main([command, *paths]) == 4
+    assert capsys.readouterr() == ("", "strongprod: error: out of memory\n")
 
 
 def test_huge_edgeless_product_is_written(graph_file):

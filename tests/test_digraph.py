@@ -1,6 +1,7 @@
 """Edge-list parsing, digraph validation, adjacency, and connectivity."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,6 +349,18 @@ class TestDigraphValue:
         with pytest.raises(AttributeError):
             delattr(g, name)
         assert (g.n, g.arc_array.tolist()) == before
+
+    def test_out_csr_copies_no_keys(self):
+        # K300 has 89,700 int32 keys; an int64 copy of them takes 717,600 bytes.
+        g = complete_digraph(300)
+        assert g._keys.dtype == np.int32
+        tracemalloc.start()
+        try:
+            g._out_csr
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * g.m
 
     @given(digraphs(max_n=8))
     def test_derived_views_match_their_definitions(self, g):
