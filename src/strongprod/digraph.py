@@ -29,8 +29,8 @@ class EdgeListDocument:
     """Parsed edge-list file: declared counts plus arcs in file order.
 
     ``arcs`` is a read-only ``(m, 2)`` array: int64, or object when a
-    vertex is too large for int64.
-    """
+    vertex is too large for int64. Only its form is checked: ``Digraph``
+    checks the values, such as a negative ``n`` or vertex."""
 
     n: int
     m: int
@@ -42,15 +42,15 @@ _MAX_DIGITS = 18
 _POWERS = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 
 # Blank and ``#`` lines, then an ``n m`` header of at most 18 ASCII digits
-# each. Every line ends in a break that ``str.splitlines`` also splits at,
-# the header also at the end of the text. Before the header a ``\r\n`` is
-# read as ``\r`` and a blank line, so each prefix has one parse and a
-# failed match backtracks in linear time.
-_BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
-_HEADER = re.compile(
-    rf"(?:[ \t]*(?:#[^{_BREAKS}]*)?[{_BREAKS}])*"
-    rf"[ \t]*([0-9]{{1,18}})[ \t]+([0-9]{{1,18}})[ \t]*(?:\r\n|[{_BREAKS}]|\Z)")
-_LINE_BREAK = re.compile(f"[{_BREAKS}]")
+# each: ``\n`` lines, whose only other whitespace is spaces and tabs, the
+# header also ended by the end of the text. Every line break that
+# ``str.splitlines`` splits at is whitespace, so text with any other break
+# goes to the line scanner. Each prefix has one parse, so a failed match
+# backtracks in linear time.
+_HEADER = re.compile(r"(?:[ \t]*(?:#[\S \t]*)?\n)*"
+                     r"[ \t]*([0-9]{1,18})[ \t]+([0-9]{1,18})[ \t]*(?:\n|\Z)")
+# The breaks that ``str.splitlines`` splits at.
+_LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 
 # Arc rows are int64, whatever the order.
 _VERTEX_LIMIT = 1 << 63
@@ -70,12 +70,12 @@ class Digraph:
 
     The constructor takes an integer ``n`` and any iterable of integer
     pairs or an integer array, in any order, each pair at most once
-    (anything else, a bool too, is a ``TypeError``), and checks it in one
-    pass: at least one vertex, endpoints in ``[0, n)``, no self-loops, no
-    repeats. Of several faults the first pair in the order given is
-    reported, and of one pair's own faults a self-loop before a range
-    error. Equal digraphs compare and hash equal; no attribute can be
-    assigned or deleted.
+    (anything else, a bool too, is a ``TypeError``), and checks every
+    value: at least one vertex, endpoints in ``[0, n)``, no self-loops, no
+    repeats, found from the sorted keys. Of several faults the first pair
+    in the order given is reported, and of one pair's own faults a
+    self-loop before a range error. Equal digraphs compare and hash equal;
+    no attribute can be assigned or deleted.
     """
 
     def __init__(self, n: int, arc_array) -> None:
@@ -91,19 +91,20 @@ class Digraph:
             bad = loop | ((rows < 0) | (rows >= limit)).any(axis=1)
             good = int(bad.argmax())
         # Keys of rows in range are one-to-one, so before the first faulty
-        # row an equal neighbour among the sorted keys is a repeated pair.
+        # row an equal neighbour among the sorted keys is a repeated pair,
+        # and a stable sort of the keys as given puts each pair's first row
+        # before its repeats: the least repeat is the first.
         # Rows in range fit the key dtype, whatever their own (object too).
         # The sum is taken in the key dtype: int64 + uint64 would be float64.
-        key = rows[:good, 0].astype(_key_dtype(n))
-        key *= n
-        np.add(key, rows[:good, 1], out=key, dtype=key.dtype, casting="unsafe")
+        given = rows[:good, 0].astype(_key_dtype(n))
+        given *= n
+        np.add(given, rows[:good, 1], out=given, dtype=given.dtype, casting="unsafe")
+        key = given.copy()
         key.sort()
-        if (key[1:] == key[:-1]).any():
-            seen = set()
-            for u, v in rows[:good].tolist():
-                if (u, v) in seen:
-                    raise DigraphValidationError(f"arc ({u}, {v}) listed more than once")
-                seen.add((u, v))
+        repeat = key[1:] == key[:-1]
+        if repeat.any():
+            u, v = map(int, rows[given.argsort(kind="stable")[1:][repeat].min()])
+            raise DigraphValidationError(f"arc ({u}, {v}) listed more than once")
         if good < len(rows):
             u, v = rows[good].tolist()
             if u == v:
@@ -242,11 +243,12 @@ def parse_edge_list(text: str) -> EdgeListDocument:
     ``u v``; tokens are whitespace-separated decimal integers. Blank lines
     and lines starting with ``#`` are ignored.
 
-    Plain files are parsed in one numpy pass. Text that pass does not
-    accept goes to the line scanner, the only source of errors: every
-    fault, and rarer forms such as comments after the header, ``\\r``,
-    ``+``, ``_`` or non-ASCII digits in numbers, and vertices too large
-    for int64 (which come back as an object array).
+    Plain files (``\\n`` lines) are parsed in one numpy pass. Other text
+    goes to the line scanner, the only source of format errors: every
+    fault of form, and rarer forms such as other line breaks, comments
+    after the header, ``+``, ``_`` or non-ASCII digits in numbers, and
+    vertices too large for int64 (which come back as an object array).
+    Values, a negative order or vertex too, are ``Digraph``'s to check.
     """
     doc = _parse_arrays(text)
     return _parse_lines(text) if doc is None else doc
@@ -302,7 +304,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _parse_lines(text: str) -> EdgeListDocument:
-    """Parse edge-list text line by line, raising on the first fault."""
+    """Parse the lines of ``str.splitlines``, raising on the first fault of form:
+    a header, two integers a data line, exactly ``m`` arc lines. Values are
+    ``Digraph``'s to check; a negative ``m`` is ``declared -1 arcs, found k``."""
     stripped = (raw.strip() for raw in text.splitlines())
     lines = ((number, content) for number, content in enumerate(stripped, start=1)
              if content and not content.startswith("#"))
@@ -310,17 +314,11 @@ def _parse_lines(text: str) -> EdgeListDocument:
     if header is None:
         raise EdgeListFormatError("missing 'n m' header line")
     n, m = _two_integers(*header, "n m")
-    if n < 0 or m < 0:
-        raise EdgeListFormatError("counts must be nonnegative", line=header[0])
-
     arcs: list[tuple[int, int]] = []
     for number, content in lines:
         if len(arcs) == m:
             raise EdgeListFormatError(f"more than the declared {m} arc lines", line=number)
-        u, v = _two_integers(number, content, "u v")
-        if u < 0 or v < 0:
-            raise EdgeListFormatError(f"negative vertex in arc ({u}, {v})", line=number)
-        arcs.append((u, v))
+        arcs.append(_two_integers(number, content, "u v"))
     if len(arcs) != m:
         raise EdgeListFormatError(f"declared {m} arcs, found {len(arcs)}")
     return EdgeListDocument(n=n, m=m, arcs=_read_only(_arc_rows(arcs)))

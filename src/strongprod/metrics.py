@@ -27,8 +27,8 @@ import numpy as np
 
 from .apsp import DistanceMatrix, all_pairs_distances, diameter
 from .digraph import Digraph, _fails_degree_screen, is_strongly_connected
-from .errors import NotStronglyConnectedError, OrderTooSmallError, ProductTooLargeError
-from .product import DEFAULT_MAX_PRODUCT_VERTICES, strong_product_n
+from .errors import NotStronglyConnectedError, OrderTooSmallError
+from .product import DEFAULT_MAX_PRODUCT_VERTICES, _check_vertex_limit, strong_product_n
 
 METHODS = ("naive", "counting", "oracle")
 
@@ -208,10 +208,8 @@ def average_distance_product_n(
         ds = [all_pairs_distances(product)]
     else:
         ds = _factor_matrices(gs)
-        if method == "naive" and order > max_product_vertices:
-            raise ProductTooLargeError(
-                f"product has {order} vertices, limit is {max_product_vertices}"
-            )
+        if method == "naive":
+            _check_vertex_limit(order, max_product_vertices)
     sigma = sigma_counting_n(ds) if method == "counting" else sigma_naive_n(ds)
     mu = Fraction(sigma, order * (order - 1))
     return MetricsReport(

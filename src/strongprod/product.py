@@ -51,6 +51,12 @@ def decode_label(flat: int, dims: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(coords))
 
 
+def _check_vertex_limit(n: int, limit: int) -> None:
+    """Refuse, as :class:`ProductTooLargeError`, a product of more than ``limit`` vertices."""
+    if n > limit:
+        raise ProductTooLargeError(f"product has {n} vertices, limit is {limit}")
+
+
 def _too_large(n: int, m: int) -> ProductTooLargeError:
     """The error for a product of ``n`` vertices and ``m`` arcs that memory cannot hold."""
     return ProductTooLargeError(f"product has {n} vertices and {m} arcs, too many for memory")
@@ -84,10 +90,7 @@ def strong_product_n(
     if not gs:
         raise ValueError("need at least one factor")
     n = prod(g.n for g in gs)
-    if n > max_vertices:
-        raise ProductTooLargeError(
-            f"product has {n} vertices, limit is {max_vertices}"
-        )
+    _check_vertex_limit(n, max_vertices)
     m = prod(g.n + g.m for g in gs) - n
     dtype = _key_dtype(n)
     # Numpy addresses no more bytes than intp holds.

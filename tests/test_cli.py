@@ -113,6 +113,14 @@ class TestCheck:
             f"strongprod: error: {path}: arc (0, {2**63}) outside [0, 3)\n"
         )
 
+    def test_negative_vertex_is_a_range_fault(self, graph_file, capsys):
+        # The scanner checks form only; Digraph names the value.
+        path = graph_file("neg.el", None, text="2 1\n0 -1\n")
+        assert main(["check", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"strongprod: error: {path}: arc (0, -1) outside [0, 2)\n"
+
     @pytest.mark.parametrize("command", ["check", "apsp"])
     def test_vertex_beyond_int64_under_a_larger_order_exits_two(
             self, graph_file, capsys, command):
@@ -668,22 +676,18 @@ class TestAvgdist:
         a = graph_file("k1.el", complete_digraph(1))
         assert main(["avgdist", a, a]) == 2
 
-    def test_oracle_respects_vertex_limit(self, graph_file, capsys):
-        a = graph_file("c3.el", directed_cycle(3))
-        args = ["avgdist", a, a, "--method", "oracle", "--max-product-vertices", "5"]
-        assert main(args) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "limit" in captured.err
-
     def test_naive_respects_vertex_limit(self, graph_file, capsys):
+        # The explicit product, naive and oracle routes share one rule and message.
         a = graph_file("c3.el", directed_cycle(3))
-        args = ["avgdist", a, a, "--method", "naive", "--max-product-vertices", "8"]
-        assert main(args) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "strongprod: error: product has 9 vertices, limit is 8\n"
-        assert main([*args[:-1], "9"]) == 0
+        for command in (["product"], ["avgdist", "--method", "naive"],
+                        ["avgdist", "--method", "oracle"]):
+            args = [*command, a, a, "--max-product-vertices"]
+            assert main([*args, "8"]) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "strongprod: error: product has 9 vertices, limit is 8\n"
+            assert main([*args, "9"]) == 0
+            capsys.readouterr()
 
     def test_not_connected_comes_before_naive_vertex_limit(self, graph_file, capsys):
         a = graph_file("c3.el", directed_cycle(3))

@@ -36,6 +36,17 @@ def _fields(doc):
     return doc.n, doc.m, [list(arc) for arc in doc.arcs]
 
 
+# Plain but for a break other than ``\n`` before or at the header: the
+# array route reads only ``\n`` lines, and the scanner reads the same document.
+_OTHER_BREAKS_UP_TO_THE_HEADER = (
+    "# c\r\n2 1\r\n0 1\n",
+    "# c\r\n\r\n" * 40 + "2 1\r\n0 1\n",
+    "2 1\r0 1\n",
+    "# c\x0c2 1\n0 1\n",
+    "# c\u20282 1\n0 1\n",
+)
+
+
 class TestParseEdgeList:
     def test_three_cycle(self):
         doc = parse_edge_list("3 3\n0 1\n1 2\n2 0")
@@ -77,11 +88,6 @@ class TestParseEdgeList:
         "2 1\n0 1\n",
         "# c\n\n2 1\n\n \t\n0\t 1",
         "# caf\u00e9\n2 1\n0 1\n",
-        "# c\r\n2 1\r\n0 1\n",
-        "# c\r\n\r\n" * 40 + "2 1\r\n0 1\n",
-        "2 1\r0 1\n",
-        "# c\x0c2 1\n0 1\n",
-        "# c\u20282 1\n0 1\n",
         "2 1\n999999999999999999 0\n",
         "#" * 5000 + "\n2 1\n0 1\n",
     ])
@@ -111,9 +117,12 @@ class TestParseEdgeList:
         "2 1\n0 -1\n",
         "2 1\n0 x\n",
         "",
+        *_OTHER_BREAKS_UP_TO_THE_HEADER,
     ])
     def test_other_text_goes_to_the_line_scanner(self, text):
         assert _parse_arrays(text) is None
+        if text in _OTHER_BREAKS_UP_TO_THE_HEADER:
+            assert _fields(parse_edge_list(text)) == (2, 1, [[0, 1]])
 
     def test_too_few_arcs(self):
         with pytest.raises(EdgeListFormatError, match="^declared 2 arcs, found 1$"):
@@ -152,11 +161,18 @@ class TestParseEdgeList:
             parse_edge_list("2 1\nx y\n")
 
     def test_negative_values(self):
-        with pytest.raises(EdgeListFormatError, match="^line 1: counts must be nonnegative$"):
-            parse_edge_list("-1 0\n")
-        with pytest.raises(EdgeListFormatError,
-                           match="^line 2: negative vertex in arc \\(0, -1\\)$"):
-            parse_edge_list("2 1\n0 -1\n")
+        # The scanner checks form only; Digraph reports the values.
+        doc = parse_edge_list("-1 0\n")
+        assert _fields(doc) == (-1, 0, [])
+        with pytest.raises(DigraphValidationError,
+                           match="^digraph must have at least one vertex$"):
+            build_digraph(doc)
+        doc = parse_edge_list("2 1\n0 -1\n")
+        assert _fields(doc) == (2, 1, [[0, -1]])
+        with pytest.raises(DigraphValidationError, match="^arc \\(0, -1\\) outside \\[0, 2\\)$"):
+            build_digraph(doc)
+        with pytest.raises(EdgeListFormatError, match="^declared -1 arcs, found 1$"):
+            parse_edge_list("2 -1\n0 1\n")
 
     def test_error_names_line(self):
         with pytest.raises(EdgeListFormatError, match="^line 4: expected 'u v'"):
@@ -169,7 +185,6 @@ class TestParseEdgeList:
         ("0 1 2", "expected 'n m', got '0 1 2'", "expected 'u v', got '0 1 2'"),
         ("3 x", "expected two integers, got '3 x'", "expected two integers, got '3 x'"),
         ("x y", "expected two integers, got 'x y'", "expected two integers, got 'x y'"),
-        ("2 -1", "counts must be nonnegative", "negative vertex in arc (2, -1)"),
     ])
     @pytest.mark.parametrize("where", ["header", "arc"])
     def test_header_and_arc_lines_share_one_rule(self, where, content, header_message,
@@ -228,6 +243,12 @@ class TestBuildDigraph:
         (2**64, ((-1, 2**63),), "VertexRange", f"arc (-1, {2**63}) outside [0, {2**64})"),
         (2**64, ((0, 2**63),), "VertexRange",
          f"arc (0, {2**63}) outside [0, {2**63}), the vertices an arc can hold"),
+        # The first repeat in the order given, not the least repeated key.
+        (3, ((0, 1), (1, 2), (1, 2), (0, 1)), "DuplicateArc",
+         "arc (1, 2) listed more than once"),
+        # Past _MAX_KEYED_ORDER the keys are Python ints in an object array.
+        (2**64, ((5, 2**62), (0, 1), (5, 2**62), (0, 1)), "DuplicateArc",
+         f"arc (5, {2**62}) listed more than once"),
     ])
     def test_first_faulty_arc_in_file_order_is_reported(self, n, arcs, fault, message):
         with pytest.raises(DigraphValidationError) as info:
@@ -275,6 +296,9 @@ def _first_fault_by_definition(n, arcs):
             return DigraphValidationError, f"self-loop at vertex {u}"
         if min(u, v) < 0 or max(u, v) >= n:
             return DigraphValidationError, f"arc ({u}, {v}) outside [0, {n})"
+        if max(u, v) >= 2**63:
+            return (DigraphValidationError,
+                    f"arc ({u}, {v}) outside [0, {2**63}), the vertices an arc can hold")
         if (u, v) in seen:
             return DigraphValidationError, f"arc ({u}, {v}) listed more than once"
         seen.add((u, v))
@@ -361,6 +385,20 @@ class TestDigraphValue:
         finally:
             tracemalloc.stop()
         assert peak < 8 * g.m
+
+    def test_repeat_is_found_from_the_keys(self):
+        # Naming the repeat at row 2 turns no row into a Python object: the
+        # keys, a stable sort of them and their masks take about 25 bytes a row.
+        rows = np.tile(np.array([[0, 1]]), (1_000_000, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DigraphValidationError,
+                               match="^arc \\(0, 1\\) listed more than once$"):
+                Digraph(3, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * len(rows)
 
     @given(digraphs(max_n=8))
     def test_derived_views_match_their_definitions(self, g):
@@ -680,11 +718,16 @@ def test_array_route_agrees_with_the_line_scanner(text):
         assert ("ok", _fields(doc)) == outcome
         assert doc.arcs.dtype == np.int64
     if outcome[0] == "ok":
+        # Negative counts and vertices, and vertices past int64, reach Digraph.
         n, _, arcs = outcome[1]
-        if 0 < n < 2**63 <= max((max(arc) for arc in arcs), default=0):
-            with pytest.raises(DigraphValidationError) as info:
-                build_digraph(parse_edge_list(text))
-            assert (type(info.value), str(info.value)) == _first_fault_by_definition(n, arcs)
+        expected = _first_fault_by_definition(n, arcs)
+        try:
+            g = build_digraph(parse_edge_list(text))
+        except DigraphValidationError as exc:
+            assert (type(exc), str(exc)) == expected
+        else:
+            assert expected is None
+            assert g.arc_array.tolist() == sorted(arcs)
 
 
 @given(digraphs(max_n=12))
