@@ -676,11 +676,19 @@ class TestAvgdist:
         a = graph_file("k1.el", complete_digraph(1))
         assert main(["avgdist", a, a]) == 2
 
-    def test_naive_respects_vertex_limit(self, graph_file, capsys):
-        # The explicit product, naive and oracle routes share one rule and message.
+    def test_oracle_respects_vertex_limit(self, graph_file, capsys):
         a = graph_file("c3.el", directed_cycle(3))
-        for command in (["product"], ["avgdist", "--method", "naive"],
-                        ["avgdist", "--method", "oracle"]):
+        args = ["avgdist", a, a, "--method", "oracle", "--max-product-vertices"]
+        assert main([*args, "8"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "strongprod: error: product has 9 vertices, limit is 8\n"
+        assert main([*args, "9"]) == 0
+
+    def test_naive_respects_vertex_limit(self, graph_file, capsys):
+        # The explicit product and naive routes share the oracle's rule and message.
+        a = graph_file("c3.el", directed_cycle(3))
+        for command in (["product"], ["avgdist", "--method", "naive"]):
             args = [*command, a, a, "--max-product-vertices"]
             assert main([*args, "8"]) == 4
             captured = capsys.readouterr()
