@@ -6,6 +6,7 @@ from .apsp import (
     all_pairs_distances,
     bfs_distances,
     diameter,
+    distance_counts,
 )
 from .digraph import (
     Digraph,
@@ -21,6 +22,7 @@ from .metrics import (
     average_distance_product_n,
     product_distance_n,
     sigma_counting_n,
+    sigma_from_counts,
     sigma_naive_n,
 )
 from .product import (
@@ -43,12 +45,14 @@ __all__ = [
     "build_digraph",
     "decode_label",
     "diameter",
+    "distance_counts",
     "encode_label",
     "is_strongly_connected",
     "load_digraph",
     "parse_edge_list",
     "product_distance_n",
     "sigma_counting_n",
+    "sigma_from_counts",
     "sigma_naive_n",
     "strong_product_n",
     "write_edge_list",

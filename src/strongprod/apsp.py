@@ -3,13 +3,16 @@
 ``all_pairs_distances`` is the production path: a breadth-first search
 from every source at once on packed bits, or Floyd-Warshall once the
 search has done as much work as Floyd-Warshall is estimated to need.
-``bfs_distances`` is their oracle, deliberately separate from both: the
-plain-Python breadth-first walk of ``digraph`` that also decides strong
-connectivity. All must agree exactly on every digraph, reachable or not.
+``distance_counts`` walks the same search but keeps only how many pairs
+each level reaches, so it needs no n x n matrix. ``bfs_distances`` is
+their oracle, deliberately separate from both: the plain-Python
+breadth-first walk of ``digraph`` that also decides strong connectivity.
+All must agree exactly on every digraph, reachable or not.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -124,6 +127,12 @@ def _relax(d: np.ndarray) -> None:
         np.minimum(d, through, out=d)
 
 
+def _too_large(what: str, n: int, nbytes: int) -> DistanceMatrixTooLargeError:
+    return DistanceMatrixTooLargeError(
+        f"the {n} x {n} {what} ({nbytes} bytes) does not fit in memory"
+    )
+
+
 def all_pairs_distances(g: Digraph) -> DistanceMatrix:
     """All-pairs shortest directed path lengths of ``g``.
 
@@ -134,9 +143,7 @@ def all_pairs_distances(g: Digraph) -> DistanceMatrix:
     """
     dtype = _kernel_dtype(g.n)
     nbytes = g.n * g.n * dtype.itemsize
-    too_large = DistanceMatrixTooLargeError(
-        f"the {g.n} x {g.n} distance matrix ({nbytes} bytes) does not fit in memory"
-    )
+    too_large = _too_large("distance matrix", g.n, nbytes)
     if nbytes > np.iinfo(np.intp).max:
         raise too_large
     try:
@@ -153,6 +160,65 @@ def all_pairs_distances(g: Digraph) -> DistanceMatrix:
     return DistanceMatrix(d)
 
 
+def distance_counts(g: Digraph) -> np.ndarray:
+    """How many ordered pairs of ``g`` lie at each distance, unreachable ones left out.
+
+    Entry v counts the pairs at distance v, up to the largest distance,
+    so entry 0 is ``g.n`` and the diameter is the length minus one; ``g``
+    is strongly connected iff the counts sum to ``g.n ** 2``. The packed
+    search counts each level's new pairs and makes no n x n matrix. Past
+    the work bound, Floyd-Warshall's matrix is counted instead. Raises
+    :class:`DistanceMatrixTooLargeError` when the search's bit sets, or
+    that matrix, do not fit in memory.
+    """
+    words = -(-g.n // 64)
+    # The search's three bit sets: frontier, new and unreached targets.
+    nbytes = 3 * g.n * words * _WORD.itemsize
+    too_large = _too_large("distance search", g.n, nbytes)
+    if nbytes > np.iinfo(np.intp).max:
+        raise too_large
+    # Each level's popcounts fill one row of a block, and a full block is
+    # summed at once: a sum per level would cost more than its popcounts.
+    counts = [np.array([g.n], dtype=np.int64)]
+    levels = 0
+
+    def count_level(level: int, new: np.ndarray, unreached: np.ndarray) -> None:
+        nonlocal levels
+        levels = level
+        row = (level - 1) % len(block)
+        np.bitwise_count(new, out=block[row])
+        if row == len(block) - 1:
+            counts.append(block.sum(axis=(1, 2), dtype=np.int64))
+
+    try:
+        block = np.empty((max(1, _COUNT_BLOCK // (g.n * words)), g.n, words), np.uint8)
+        searched = _bfs_levels(g, _bfs_level_budget(g.n, g.m), count_level) is not None
+    except MemoryError:
+        raise too_large from None
+    if searched:
+        counts.append(block[:levels % len(block)].sum(axis=(1, 2), dtype=np.int64))
+        return np.concatenate(counts)
+    try:
+        d = _initial_distances(g)
+        _relax(d)
+    except MemoryError:
+        nbytes = g.n * g.n * _kernel_dtype(g.n).itemsize
+        raise _too_large("distance matrix", g.n, nbytes) from None
+    # Every distance is below n, so the sentinel counts as n, and is dropped.
+    np.minimum(d, g.n, out=d)
+    return np.trim_zeros(_distance_counts(d)[:g.n], "b")
+
+
+def _distance_counts(a: np.ndarray) -> np.ndarray:
+    """How many entries of the nonnegative matrix ``a`` hold each value up to
+    its largest, counted a block of rows at a time."""
+    counts = np.zeros(int(a.max()) + 1, dtype=np.int64)
+    step = max(1, _COUNT_BLOCK // a.shape[1])
+    for r in range(0, len(a), step):
+        counts += np.bincount(a[r:r + step].ravel(), minlength=len(counts))
+    return counts
+
+
 # The work bound, in word operations: a BFS level costs (m + n) * words
 # plus _STEP_WORDS, Floyd-Warshall n**3 / _FLOYD_DIVISOR plus _STEP_WORDS
 # per pivot. Set from crossovers measured on a 2-vCPU x86-64 host; the
@@ -162,6 +228,12 @@ _FLOYD_DIVISOR = 16
 
 # Byte budget of the gather buffer, and of each block of assembled rows.
 _BUFFER_BYTES = 1 << 18
+
+# Most entries one count reads: a bincount copies matrix entries to intp,
+# eight bytes each, so the copy stays small next to an int16 or int32
+# matrix; the search's levels' popcounts, a byte per word, are summed by
+# blocks of this many.
+_COUNT_BLOCK = 1 << 16
 
 # Bit s % 64 of word s // 64 stands for vertex s, little-endian, so the
 # words' bytes unpack in vertex order.
@@ -231,15 +303,48 @@ def _gather_chunks(
 def _bfs_fill(d: np.ndarray, g: Digraph, max_levels: int) -> bool:
     """Fill ``d`` with the distances of ``g`` by one BFS from all sources at once.
 
+    Plane p collects the targets first reached at a level whose bit p is
+    set, so the planes spell every distance in binary. Returns False,
+    leaving ``d`` unwritten, when :func:`_bfs_levels` gives up.
+    """
+    planes: list[np.ndarray] = []
+
+    def add_level(level: int, new: np.ndarray, unreached: np.ndarray) -> None:
+        # Over a run of levels with bit p set, the targets first reached
+        # are the unreached set at its start XOR the one at its end: XOR
+        # the unreached set into plane p wherever bit p flips. A run still
+        # open at the end leaves the pairs never reached in plane p too;
+        # the assembly writes those as UNREACHABLE whatever the planes hold.
+        flips = level ^ (level - 1)
+        if flips >> len(planes):
+            planes.append(np.zeros_like(new))
+        for p in range(flips.bit_length()):
+            np.bitwise_xor(planes[p], unreached, out=planes[p])
+
+    unreached = _bfs_levels(g, max_levels, add_level)
+    if unreached is None:
+        return False
+    _assemble(d, unreached, planes)
+    return True
+
+
+def _bfs_levels(
+    g: Digraph,
+    max_levels: int,
+    consume: Callable[[int, np.ndarray, np.ndarray], None],
+) -> np.ndarray | None:
+    """Walk the levels of one BFS of ``g`` from all sources at once.
+
     Row v of each bit array is a packed set of targets. A level gathers
     the frontier rows of v's out-neighbours, ORs each tail's segment with
-    one ``reduceat`` and keeps the targets v has not reached yet. Plane p
-    collects the targets first reached at a level whose bit p is set, so
-    the planes spell every distance in binary. Returns False, leaving
-    ``d`` unwritten, when a level past ``max_levels`` still reaches new
-    targets, that is when a distance exceeds ``max_levels``; the level
-    that reaches nothing and ends the search does not count against it.
-    ``g.n - 1`` levels always suffice.
+    one ``reduceat`` and keeps the targets v has not reached yet. Each
+    level that reaches new targets is handed to ``consume(level, new,
+    unreached)``: the targets first reached at that level, and those not
+    reached before it. Returns the targets never reached, or None when a
+    level past ``max_levels`` still reaches new targets, that is when a
+    distance exceeds ``max_levels``; the level that reaches nothing and
+    ends the search does not count against it. ``g.n - 1`` levels always
+    suffice.
     """
     n = g.n
     words = -(-n // 64)
@@ -254,7 +359,6 @@ def _bfs_fill(d: np.ndarray, g: Digraph, max_levels: int) -> bool:
     chunks = _gather_chunks(offsets, heads, words)
     longest = max((len(h) for _, h, starts in chunks if starts is not None), default=0)
     gathered = np.empty((longest, words), dtype=_WORD)
-    planes: list[np.ndarray] = []
     level = 1
     while True:
         for tails, heads, starts in chunks:
@@ -267,24 +371,13 @@ def _bfs_fill(d: np.ndarray, g: Digraph, max_levels: int) -> bool:
         if not np.count_nonzero(new):
             break
         if level > max_levels:
-            return False
-        # Over a run of levels with bit p set, the targets first reached
-        # are the unreached set at its start XOR the one at its end: XOR
-        # the unreached set into plane p wherever bit p flips. A run still
-        # open at the end leaves the pairs never reached in plane p too;
-        # the assembly writes those as UNREACHABLE whatever the planes hold.
-        flips = level ^ (level - 1)
-        if flips >> len(planes):
-            planes.append(np.zeros_like(new))
-        for p in range(flips.bit_length()):
-            np.bitwise_xor(planes[p], unreached, out=planes[p])
+            return None
+        consume(level, new, unreached)
         np.bitwise_xor(unreached, new, out=unreached)
         frontier, new = new, frontier
         level += 1
-    del frontier, new, gathered
     unreached[sinks] = _all_but_self(sinks, words)
-    _assemble(d, unreached, planes)
-    return True
+    return unreached
 
 
 def _assemble(d: np.ndarray, unreached: np.ndarray, planes: list[np.ndarray]) -> None:

@@ -14,13 +14,15 @@ be read, or ``OrderTooSmallError``), 3 not strongly connected
 ``avgdist`` name the lowest failing factor), 4 size limit
 (``ProductTooLargeError`` for the product's vertex limit, which bounds
 ``avgdist --method naive`` and ``oracle``, or a product too large for
-memory; ``DistanceMatrixTooLargeError`` for a distance matrix too large
-for memory; any other allocation that fails, with the fixed message
-``out of memory``). Each ends the run with one ``strongprod: error:``
-line on standard error. ``avgdist`` learns a factor's
-strong connectivity from its distance matrix, so a factor in which every
-vertex has an out-arc and an in-arc but whose matrix does not fit exits 4,
-connected or not; one with a vertex that lacks either exits 3 at once.
+memory; ``DistanceMatrixTooLargeError`` for a distance matrix, or a
+distance search's bit sets, too large for memory; any other allocation
+that fails, with the fixed message ``out of memory``). Each ends the run
+with one ``strongprod: error:`` line on standard error. ``avgdist``
+learns a factor's strong connectivity from its distance counts
+(``counting``) or its distance matrix (``naive``), so a factor in which
+every vertex has an out-arc and an in-arc but whose search or matrix
+does not fit exits 4, connected or not; one with a vertex that lacks
+either exits 3 at once.
 """
 
 from __future__ import annotations

@@ -49,8 +49,6 @@ _POWERS = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 # backtracks in linear time.
 _HEADER = re.compile(r"(?:[ \t]*(?:#[\S \t]*)?\n)*"
                      r"[ \t]*([0-9]{1,18})[ \t]+([0-9]{1,18})[ \t]*(?:\n|\Z)")
-# The breaks that ``str.splitlines`` splits at.
-_LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 
 # Arc rows are int64, whatever the order.
 _VERTEX_LIMIT = 1 << 63
@@ -376,7 +374,7 @@ def _edge_list_blocks(g: Digraph, comments: Sequence[str] = ()) -> Iterator[byte
     from the digraph's arc keys a block at a time; no arc rows are built whole.
     """
     for comment in comments:
-        if _LINE_BREAK.search(comment):
+        if "".join(comment.splitlines()) != comment:
             raise ValueError(f"comment {comment!r} holds a line break")
     head = "".join(f"# {comment}\n" for comment in comments) + f"{g.n} {g.m}\n"
     if not g.m:

@@ -46,4 +46,4 @@ class ProductTooLargeError(StrongProdError):
 
 
 class DistanceMatrixTooLargeError(StrongProdError):
-    """A distance matrix, or the work arrays that compute it, do not fit in memory."""
+    """A distance matrix, or the work arrays of a distance kernel, do not fit in memory."""

@@ -1,43 +1,51 @@
-"""Distance metrics of strong products computed from factor matrices.
+"""Distance metrics of strong products computed from their factors.
 
 The product distance is the maximum of the factor distances, so the
 distance sum sigma and the average distance mu of a product need only the
-factor distance matrices, never the product itself. Three routes build
-one report and must agree exactly; they differ only in the matrices read
-and the sum taken:
+factors' distances, never the product itself. Three routes build one
+report and must agree exactly; they differ in what they read of each
+factor and the sum taken:
 
 * ``naive``    - the factors' matrices, summed over every combination of
   one entry per factor (prod n_i^2 maxima);
-* ``counting`` - the factors' matrices, their distance CDFs multiplied
-  into the product's CDF, O(sum n_i^2 + k * D) for k factors and largest
-  diameter D;
+* ``counting`` - the factors' distance counts, read off the levels of
+  their breadth-first searches with no n x n matrix, their CDFs
+  multiplied into the product's CDF, O(k * D) past the searches for k
+  factors and largest diameter D;
 * ``oracle``   - the explicit product's own matrix, summed as ``naive``
   sums one matrix.
+
+``naive`` and ``counting`` measure each distinct factor once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import prod
+from typing import TypeVar
 
 import numpy as np
 
-from .apsp import DistanceMatrix, all_pairs_distances, diameter
+from .apsp import (
+    DistanceMatrix,
+    _distance_counts,
+    all_pairs_distances,
+    diameter,
+    distance_counts,
+)
 from .digraph import Digraph, _fails_degree_screen, is_strongly_connected
 from .errors import NotStronglyConnectedError, OrderTooSmallError
 from .product import DEFAULT_MAX_PRODUCT_VERTICES, _check_vertex_limit, strong_product_n
 
 METHODS = ("naive", "counting", "oracle")
 
+_T = TypeVar("_T")
+
 # Most maxima the naive sum forms with one factor at a time.
 _NAIVE_BLOCK = 1 << 22
-
-# Most matrix entries one bincount reads: it copies them to intp, eight
-# bytes each, so the copy stays small next to an int16 or int32 matrix.
-_COUNT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -107,15 +115,26 @@ def sigma_naive_n(ds: Sequence[DistanceMatrix]) -> int:
 def sigma_counting_n(ds: Sequence[DistanceMatrix]) -> int:
     """Same sum as :func:`sigma_naive_n` from the factor distance CDFs.
 
-    A product distance is the maximum of the factor distances, so the
-    number of ordered product pairs at distance <= v is the product of
-    the factors' counts at distance <= v, and differencing that CDF gives
-    the count at exactly v. Cost O(sum n_i^2 + k * D) for k factors and
-    largest diameter D. The counts are Python ints, so sigma never wraps.
+    Each matrix is counted a block of rows at a time, and the counts go
+    to :func:`sigma_from_counts`. Cost O(sum n_i^2 + k * D) for k factors
+    and largest diameter D.
     """
-    if not ds:
+    return sigma_from_counts([_distance_counts(d.finite_array()) for d in ds])
+
+
+def sigma_from_counts(counts: Sequence[np.ndarray]) -> int:
+    """Distance sum of the strong product of factors with these distance counts.
+
+    ``counts[i][v]`` is the number of ordered pairs of factor i at
+    distance v, every pair reachable. A product distance is the maximum
+    of the factor distances, so the number of ordered product pairs at
+    distance <= v is the product of the factors' counts at distance <= v,
+    and differencing that CDF gives the count at exactly v. Cost O(k * D)
+    for k factors and largest diameter D. The counts are Python ints, so
+    sigma never wraps.
+    """
+    if not counts:
         raise ValueError("need at least one factor")
-    counts = [_distance_counts(d.finite_array()) for d in ds]
     size = max(len(c) for c in counts)
     cdfs = [np.cumsum(np.pad(c, (0, size - len(c)))).tolist() for c in counts]
     total = below = 0
@@ -124,16 +143,6 @@ def sigma_counting_n(ds: Sequence[DistanceMatrix]) -> int:
         total += v * (upto - below)
         below = upto
     return total
-
-
-def _distance_counts(a: np.ndarray) -> np.ndarray:
-    """How many entries of the nonnegative matrix ``a`` hold each value up to
-    its largest, counted a block of rows at a time."""
-    counts = np.zeros(int(a.max()) + 1, dtype=np.int64)
-    step = max(1, _COUNT_BLOCK // a.shape[1])
-    for r in range(0, len(a), step):
-        counts += np.bincount(a[r:r + step].ravel(), minlength=len(counts))
-    return counts
 
 
 def _decimal_12sig(value: Fraction) -> str:
@@ -159,23 +168,33 @@ def _check_connected(gs: Sequence[Digraph]) -> None:
             raise _not_connected(index)
 
 
-def _factor_matrices(gs: Sequence[Digraph]) -> list[DistanceMatrix]:
-    """The factors' distance matrices, each known strongly connected.
+def _per_factor(
+    gs: Sequence[Digraph],
+    measure: Callable[[Digraph], _T],
+    connected: Callable[[Digraph, _T], bool],
+) -> list[_T]:
+    """``measure(g)`` of each factor ``g``, each known strongly connected.
 
-    A factor is strongly connected iff its matrix has no unreachable pair,
-    so the matrices stand in for a traversal. If any factor has a vertex
-    without an out-arc or an in-arc, the factors are traversed in order
-    instead; that stops at the lowest index that fails, the one named.
+    A factor is strongly connected iff ``connected(g, measure(g))``, so the
+    measures stand in for a traversal, and the lowest failing factor is
+    named. If any factor has a vertex without an out-arc or an in-arc,
+    the factors are traversed in order instead; that stops at the lowest
+    index that fails, the one named. A factor equal to an earlier one, by
+    order and arc keys, takes the earlier one's measure.
     """
     if any(map(_fails_degree_screen, gs)):
         _check_connected(gs)
-    ds = []
+    measures: list[_T] = []
     for index, g in enumerate(gs):
-        d = all_pairs_distances(g)
-        if not d.all_finite:
-            raise _not_connected(index)
-        ds.append(d)
-    return ds
+        for h, earlier in zip(gs, measures):
+            if h.n == g.n and np.array_equal(h._keys, g._keys):
+                measures.append(earlier)
+                break
+        else:
+            measures.append(measure(g))
+            if not connected(g, measures[-1]):
+                raise _not_connected(index)
+    return measures
 
 
 def average_distance_product_n(
@@ -185,10 +204,10 @@ def average_distance_product_n(
 ) -> MetricsReport:
     """Metrics of the strong product of ``gs``.
 
-    ``naive`` and ``counting`` read the factors' distance matrices and
-    never build the product; ``oracle`` builds it and reads its one
-    matrix. Every route takes the diameter as the largest diameter of the
-    matrices read. ``naive`` and ``oracle`` raise
+    ``naive`` reads the factors' distance matrices and ``counting`` their
+    distance counts; neither builds the product. ``oracle`` builds it and
+    reads its one matrix. Every route takes the diameter as the largest
+    diameter of what it read. ``naive`` and ``oracle`` raise
     :class:`ProductTooLargeError` for a product of more than
     ``max_product_vertices`` vertices, once every factor is known to be
     strongly connected.
@@ -202,15 +221,20 @@ def average_distance_product_n(
     order = prod(g.n for g in gs)
     if order < 2:
         raise OrderTooSmallError("product must have at least 2 vertices")
-    if method == "oracle":
-        _check_connected(gs)
-        product = strong_product_n(gs, max_vertices=max_product_vertices)
-        ds = [all_pairs_distances(product)]
+    if method == "counting":
+        counts = _per_factor(gs, distance_counts, lambda g, c: c.sum() == g.n * g.n)
+        sigma = sigma_from_counts(counts)
+        diam = max(map(len, counts)) - 1
     else:
-        ds = _factor_matrices(gs)
-        if method == "naive":
+        if method == "oracle":
+            _check_connected(gs)
+            product = strong_product_n(gs, max_vertices=max_product_vertices)
+            ds = [all_pairs_distances(product)]
+        else:
+            ds = _per_factor(gs, all_pairs_distances, lambda g, d: d.all_finite)
             _check_vertex_limit(order, max_product_vertices)
-    sigma = sigma_counting_n(ds) if method == "counting" else sigma_naive_n(ds)
+        sigma = sigma_naive_n(ds)
+        diam = max(map(diameter, ds))
     mu = Fraction(sigma, order * (order - 1))
     return MetricsReport(
         factor_orders=tuple(g.n for g in gs),
@@ -218,6 +242,6 @@ def average_distance_product_n(
         sigma=sigma,
         mu=mu,
         mu_decimal=_decimal_12sig(mu),
-        diameter=max(map(diameter, ds)),
+        diameter=diam,
         method=method,
     )

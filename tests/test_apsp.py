@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import strongprod.apsp as apsp
 from strongprod.apsp import (
@@ -24,8 +24,9 @@ from strongprod.apsp import (
     all_pairs_distances,
     bfs_distances,
     diameter,
+    distance_counts,
 )
-from strongprod.digraph import Digraph
+from strongprod.digraph import Digraph, is_strongly_connected
 from strongprod.errors import (
     DistanceMatrixTooLargeError,
     NotStronglyConnectedError,
@@ -376,3 +377,84 @@ def test_an_order_past_numpy_sizes_is_named():
     g = Digraph(5_000_000_000, [(0, 4_999_999_999)])
     with pytest.raises(DistanceMatrixTooLargeError, match="5000000000 x 5000000000"):
         all_pairs_distances(g)
+
+
+def _finite_counts(g):
+    """The bincount of the finite entries of ``g``'s distance matrix."""
+    a = all_pairs_distances(g).array
+    return np.bincount(a[a != UNREACHABLE].astype(np.intp))
+
+
+@given(digraphs(max_n=12))
+@example(complete_digraph(1))
+@example(Digraph(3, [(0, 1), (1, 0), (1, 2)]))  # a sink
+@example(Digraph(4, [(0, 1), (1, 0), (0, 2), (2, 3), (3, 2)]))  # an arc in and out of each vertex
+@example(Digraph(5, ()))
+@example(half_clique_and_path(200))  # past the work bound: Floyd-Warshall
+def test_distance_counts_are_the_matrix_counts(g):
+    counts = distance_counts(g)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == _finite_counts(g).tolist()
+    assert (counts.sum() == g.n * g.n) == is_strongly_connected(g)
+
+
+@pytest.mark.parametrize("g, floyd_runs", [
+    (half_clique_and_path(200), 1),
+    (_with_source(half_clique_and_path(200)), 1),
+    (_family("two_cycles", 129), 0),
+    (directed_path(31), 0),
+])
+def test_distance_counts_past_the_work_bound(g, floyd_runs, monkeypatch):
+    # Floyd-Warshall's matrix is counted only where the search gives up,
+    # and the pairs it leaves unreachable are not counted.
+    calls = []
+    relax = apsp._relax
+    monkeypatch.setattr(apsp, "_relax", lambda d: calls.append(relax(d)))
+    assert distance_counts(g).tolist() == _finite_counts(g).tolist()
+    assert len(calls) == 2 * floyd_runs
+
+
+@pytest.mark.parametrize("count_block", [1, 1000, 2000])
+@pytest.mark.parametrize("name", ["cycle", "sparse", "source", "two_cycles"])
+def test_distance_counts_in_small_blocks(name, count_block, monkeypatch):
+    # Blocks of 1, 2 and 5 levels' popcounts, the last block full or not.
+    g = _family(name, 129)
+    monkeypatch.setattr(apsp, "_COUNT_BLOCK", count_block)
+    assert distance_counts(g).tolist() == _finite_counts(g).tolist()
+
+
+def test_distance_counts_make_no_matrix():
+    # A sparse 2000-vertex digraph: its int16 matrix would be 8 MB, the
+    # search's three bit sets are 1.5 MB.
+    rng = np.random.default_rng(2)
+    n = 2000
+    v = np.arange(n)
+    arcs = {(int(a), int(b)) for a, b in zip(v, (v + 1) % n)}
+    arcs |= {(int(a), int(b)) for a, b in rng.integers(0, n, (3 * n, 2)) if a != b}
+    g = Digraph(n, arcs)
+    tracemalloc.start()
+    try:
+        counts = distance_counts(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == n * n
+    assert peak < n * n
+
+
+def test_distance_counts_name_a_search_past_numpy_sizes():
+    g = Digraph(5_000_000_000, [(0, 4_999_999_999)])
+    with pytest.raises(DistanceMatrixTooLargeError,
+                       match=r"^the 5000000000 x 5000000000 distance search \(\d+ bytes\) "
+                             r"does not fit in memory$"):
+        distance_counts(g)
+
+
+def test_distance_counts_name_a_search_out_of_memory(monkeypatch):
+    def fail(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(apsp, "_bfs_levels", fail)
+    with pytest.raises(DistanceMatrixTooLargeError,
+                       match=r"^the 65 x 65 distance search \(3120 bytes\) "):
+        distance_counts(directed_cycle(65))

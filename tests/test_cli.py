@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import strongprod
 import strongprod.cli as cli
 import strongprod.digraph as digraph
+import strongprod.metrics as metrics
 from strongprod.apsp import UNREACHABLE, all_pairs_distances
 from strongprod.cli import main
 from strongprod.digraph import (
@@ -554,6 +555,19 @@ class TestAvgdist:
         assert main(["avgdist", path, path]) == 0
         assert capsys.readouterr().out == C3_AVGDIST_LINE
 
+    def test_a_power_searches_its_factor_once(self, graph_file, capsys, monkeypatch):
+        calls = []
+        counts = metrics.distance_counts
+        monkeypatch.setattr(metrics, "distance_counts", lambda g: calls.append(g) or counts(g))
+        path = graph_file("c3.el", directed_cycle(3))
+        assert main(["avgdist", path, path, path]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == (
+            '{"factor_orders":[3,3,3],"product_order":27,"sigma":"1215",'
+            '"mu":{"num":45,"den":26},"mu_decimal":"1.73076923077","diameter":2,'
+            '"method":"counting"}\n'
+        )
+
     def test_complete_factors_mu_one(self, graph_file, capsys):
         a = graph_file("k2.el", complete_digraph(2))
         b = graph_file("k3.el", complete_digraph(3))
@@ -778,6 +792,27 @@ def test_oracle_arc_array_past_memory_exits_four(graph_file):
     assert done.stdout == ""
     assert done.stderr == ("strongprod: error: the 10000 x 10000 distance matrix "
                            "(200000000 bytes) does not fit in memory\n")
+
+
+def test_counting_fits_where_a_factor_matrix_does_not(graph_file, capsys):
+    # A Hamilton cycle on 12,000 vertices plus 24,000 random arcs, times C3.
+    # Its 288 MB int16 distance matrix does not fit under the child's
+    # 300 MiB, but the search's three 18 MB bit sets do.
+    n = 12000
+    rng = np.random.default_rng(5)
+    keys = set((np.arange(n) * n + (np.arange(n) + 1) % n).tolist())
+    while len(keys) < 3 * n:
+        u, v = rng.integers(0, n, 2).tolist()
+        keys.add(u * n + v) if u != v else None
+    text = f"{n} {len(keys)}\n" + "".join(f"{k // n} {k % n}\n" for k in sorted(keys))
+    path = graph_file("r12k.el", None, text=text)
+    c3 = graph_file("c3.el", directed_cycle(3))
+    assert main(["avgdist", path, c3]) == 0
+    report = capsys.readouterr().out
+    done = _run_cli_limited(["avgdist", path, c3], 300 << 20)
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == report
 
 
 def test_plain_file_past_memory_exits_four(graph_file):

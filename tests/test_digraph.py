@@ -542,7 +542,12 @@ def test_write_parse_round_trip(g, spread):
     assert build_digraph(parse_edge_list(commented)) == g
 
 
-@pytest.mark.parametrize("comment", ["a\nb", "x\ry", "x\u2028y"])
+# The three first cases, then the other breaks that ``str.splitlines``
+# splits at, and CRLF.
+@pytest.mark.parametrize("comment", [
+    "a\nb", "x\ry", "x\u2028y",
+    *(f"a{c}b" for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2029"), "a\r\nb",
+])
 def test_a_comment_with_a_line_break_is_refused(comment):
     # Written, its second line would be read as the header.
     with pytest.raises(ValueError, match="line break"):

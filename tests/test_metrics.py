@@ -22,6 +22,7 @@ from strongprod.metrics import (
     average_distance_product_n,
     product_distance_n,
     sigma_counting_n,
+    sigma_from_counts,
     sigma_naive_n,
 )
 from strongprod.product import strong_product_n
@@ -149,6 +150,8 @@ class TestSigma:
             sigma_naive_n([])
         with pytest.raises(ValueError, match="^need at least one factor$"):
             sigma_counting_n([])
+        with pytest.raises(ValueError, match="^need at least one factor$"):
+            sigma_from_counts([])
 
 
 @given(strongly_connected_digraphs(max_n=6), strongly_connected_digraphs(max_n=6))
@@ -229,6 +232,7 @@ class TestAverageDistanceProduct:
             raise AssertionError("distance matrix computed")
 
         monkeypatch.setattr(metrics, "all_pairs_distances", no_matrix)
+        monkeypatch.setattr(metrics, "distance_counts", no_matrix)
         with pytest.raises(NotStronglyConnectedError) as info:
             average_distance_product_n(factors, method=method)
         assert info.value.factor == index
@@ -259,6 +263,43 @@ class TestAverageDistanceProduct:
         assert report.sigma == 9
         assert report.mu == Fraction(3, 2)
         assert report.product_order == 3
+
+    @pytest.mark.parametrize("method, measure", [
+        ("counting", "distance_counts"),
+        ("naive", "all_pairs_distances"),
+    ])
+    def test_each_distinct_factor_is_measured_once(self, monkeypatch, method, measure):
+        # Equal factors are found by order and arc keys, whichever object
+        # holds them; a factor of the same order with other arcs is its own.
+        calls = []
+        original = getattr(metrics, measure)
+        monkeypatch.setattr(metrics, measure, lambda g: calls.append(g) or original(g))
+        g = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+        same = Digraph(4, [(0, 2), (3, 0), (2, 3), (1, 2), (0, 1)])
+        gs = [g, same, complete_digraph(4), g]
+        report = average_distance_product_n(gs, method=method)
+        assert calls == [g, complete_digraph(4)]
+        expected = average_distance_product_n(gs, method="oracle")
+        assert report == replace(expected, method=method)
+
+    def test_counting_makes_no_factor_matrix(self):
+        # A sparse 2000-vertex factor: its int16 matrix would be 8 MB.
+        rng = np.random.default_rng(3)
+        n = 2000
+        v = np.arange(n)
+        arcs = {(int(a), int(b)) for a, b in zip(v, (v + 1) % n)}
+        arcs |= {(int(a), int(b)) for a, b in rng.integers(0, n, (2 * n, 2)) if a != b}
+        gs = [Digraph(n, arcs), directed_cycle(3)]
+        tracemalloc.start()
+        try:
+            report = average_distance_product_n(gs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n
+        d = all_pairs_distances(gs[0])
+        assert report.sigma == sigma_counting_n([d, D_C3])
+        assert report.diameter == max(diameter(d), 2)
 
 
 def test_four_factor_report_matches_oracle():
