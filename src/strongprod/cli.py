@@ -147,8 +147,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def _render(d: np.ndarray, fmt: str) -> Iterator[str]:
     """The text of the distance array ``d`` in ``fmt``, a block of rows at a time."""
-    # Labels are the distances 0..n-1; UNREACHABLE (-1) takes the extra token.
-    blocks = _render_rows(d.shape, _copy_rows(d), np.arange(len(d)), *_LAYOUTS[fmt])
+    # Labels are the distances 0..max(d); UNREACHABLE (-1), where some pair
+    # is, takes the extra token.
+    token, *layout = _LAYOUTS[fmt]
+    labels = np.arange(int(d.max()) + 1)
+    blocks = _render_rows(d.shape, _copy_rows(d), labels,
+                          token if d.min() < 0 else None, *layout)
     return map(bytes.decode, blocks)
 
 

@@ -10,6 +10,7 @@ build it, and all get equal values.
 
 from __future__ import annotations
 
+import codecs
 import operator
 import re
 from collections.abc import Callable, Collection, Iterator, Sequence
@@ -29,8 +30,10 @@ class EdgeListDocument:
     """Parsed edge-list file: declared counts plus arcs in file order.
 
     ``arcs`` is a read-only ``(m, 2)`` array: int64, or object when a
-    vertex is too large for int64. Only its form is checked: ``Digraph``
-    checks the values, such as a negative ``n`` or vertex."""
+    vertex is too large for int64. A plain file's rows are allocated once,
+    when its body has room for ``m`` lines, and filled a block of lines at
+    a time. Only their form is checked: ``Digraph`` checks the values,
+    such as a negative ``n`` or vertex."""
 
     n: int
     m: int
@@ -39,7 +42,6 @@ class EdgeListDocument:
 
 # Longest number the array parser reads: 10**18 - 1 < 2**63.
 _MAX_DIGITS = 18
-_POWERS = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 
 # Blank and ``#`` lines, then an ``n m`` header of at most 18 ASCII digits
 # each: ``\n`` lines, whose only other whitespace is spaces and tabs, the
@@ -234,66 +236,158 @@ def _arc_rows(arcs) -> np.ndarray:
     return flat.reshape(-1, 2)
 
 
-def parse_edge_list(text: str) -> EdgeListDocument:
-    """Parse edge-list text into an :class:`EdgeListDocument`.
+def parse_edge_list(text: str | bytes) -> EdgeListDocument:
+    """Parse edge-list text, or its UTF-8 bytes, into an :class:`EdgeListDocument`.
 
     The format is a header line ``n m`` followed by exactly ``m`` arc lines
     ``u v``; tokens are whitespace-separated decimal integers. Blank lines
-    and lines starting with ``#`` are ignored.
+    and lines starting with ``#`` are ignored. Bytes parse as the text they
+    decode to; bytes that are not UTF-8 raise ``UnicodeDecodeError``.
 
-    Plain files (``\\n`` lines) are parsed in one numpy pass. Other text
-    goes to the line scanner, the only source of format errors: every
-    fault of form, and rarer forms such as other line breaks, comments
-    after the header, ``+``, ``_`` or non-ASCII digits in numbers, and
-    vertices too large for int64 (which come back as an object array).
-    Values, a negative order or vertex too, are ``Digraph``'s to check.
+    Plain files (``\\n`` lines) are parsed from their bytes by numpy, a
+    block of lines at a time. Other text goes to the line scanner, the only
+    source of format errors: every fault of form, and rarer forms such as
+    other line breaks, comments after the header, ``+``, ``_`` or
+    non-ASCII digits in numbers, and vertices too large for int64 (which
+    come back as an object array). Values, a negative order or vertex too,
+    are ``Digraph``'s to check.
     """
-    doc = _parse_arrays(text)
-    return _parse_lines(text) if doc is None else doc
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    doc = _parse_arrays(data)
+    if doc is None:
+        doc = _parse_lines(text if isinstance(text, str) else data.decode("utf-8"))
+    return doc
 
 
-def _parse_arrays(text: str) -> EdgeListDocument | None:
-    """Parse a plain file in one numpy pass over its body; None for any other text.
+# The blank and ``#`` lines up to the first other line, and that line: the
+# header line of a plain file, which ``_HEADER`` decides on the decoded text.
+_HEAD_LINES = re.compile(rb"(?:[ \t]*(?:#[^\n]*)?\n)*[^\n]*\n?")
+
+# Byte budget of each block of whole lines parsed. A block's arrays take
+# 8 to 19 bytes per byte of it (intp bounds of its numbers and positions
+# of its newlines), so memory beyond the rows does not grow with the file.
+# Of 16 KB to 1 MB, 64 KB blocks parsed the 270 KB avgdist-mix files fastest.
+_PARSE_BYTES = 1 << 16
+
+_ZERO, _NINE, _NEWLINE, _BLANK, _TAB = b"09\n \t"
+# A blank and a newline read as one little-endian uint16.
+_BLANK_NEWLINE, _TAB_NEWLINE = _BLANK | _NEWLINE << 8, _TAB | _NEWLINE << 8
+
+
+def _parse_arrays(data: bytes) -> EdgeListDocument | None:
+    """Parse a plain file from its bytes, a block of lines at a time; None
+    for any other text.
 
     Plain means: a header that ``_HEADER`` matches, then only ASCII digits,
     spaces, tabs and newlines; every non-blank line holds two numbers of at
-    most 18 digits, ``m`` lines in all.
+    most 18 digits, ``m`` lines in all. The ``(m, 2)`` rows are allocated
+    once the body is known to have room for them, and filled block by block.
     """
-    header = _HEADER.match(text)
+    head = _HEAD_LINES.match(data).end()
+    try:
+        header = _HEADER.fullmatch(data[:head].decode("utf-8"))
+    except UnicodeDecodeError:
+        return None
     if header is None:
         return None
     n, m = map(int, header.groups())
-    body = text[header.end():]
-    if not body.isascii():
+    # An arc line takes 4 bytes with its newline, 3 at the end of the text.
+    if 4 * m > len(data) - head + 1:
         return None
-    data = body.encode("ascii")
-    # Plain iff deleting the digits and blanks leaves nothing.
-    if data.translate(None, b"0123456789 \t\n"):
-        return None
+    arcs = np.empty((m, 2), dtype=np.int64)
+    values = arcs.reshape(-1)
     a = np.frombuffer(data, dtype=np.uint8)
-    # Numbers are the digit runs; the other bytes are blanks and newlines.
-    is_digit = np.zeros(len(a) + 2, dtype=bool)
-    np.greater_equal(a, ord("0"), out=is_digit[1:-1])
-    edges = np.flatnonzero(is_digit[1:] != is_digit[:-1])
-    starts, ends = edges[0::2], edges[1::2]
-    if len(starts) != 2 * m:
+    found = 0
+    start = head
+    while start < len(data):
+        # Whole lines: up to the last newline within the budget, or past
+        # it to the end of a line longer than the budget.
+        stop = start + _PARSE_BYTES
+        if stop < len(data):
+            stop = (data.rfind(b"\n", start, stop) + 1 or data.find(b"\n", stop) + 1
+                    or len(data))
+        # The block starts at the newline before its first line.
+        numbers = _block_numbers(a[start - 1:stop])
+        if numbers is None or found + len(numbers) > 2 * m:
+            return None
+        values[found:found + len(numbers)] = numbers
+        found += len(numbers)
+        start = stop
+    if found != 2 * m:
         return None
-    # Numbers that start before each newline, hence numbers per line.
-    before = np.searchsorted(starts, np.flatnonzero(a == ord("\n")))
-    before = np.concatenate(([0], before, [2 * m]))
-    per_line = before[1:] - before[:-1]
-    if not ((per_line == 0) | (per_line == 2)).all():
+    return EdgeListDocument(n, m, _read_only(arcs))
+
+
+def _block_numbers(b: np.ndarray) -> np.ndarray | None:
+    """The numbers of ``b``, a newline and the whole lines after it, in
+    order; None unless the lines are plain, each with none or two numbers.
+
+    Numbers are the digit runs, and every other byte is a separator. A
+    block with more runs than two a line is refused before any index is
+    made, so no index array outgrows the block's lines. Where each run is
+    followed by a single separator, the one after the first number of a
+    line must be a blank and the one after its second a newline. Where
+    wider gaps occur, the newlines before each number decide, and only the
+    numbers' bounds and the newlines are indexed, so a long run of blanks
+    costs no index. A number's digits are gathered place by place, each
+    index clamped to the separator before the number, whose digit value is
+    0; the sums are int32 while no number has more than 9 digits.
+    """
+    if b[-1] != _NEWLINE:
+        b = np.append(b, np.uint8(_NEWLINE))  # the last line of the text, unended
+    if b.max() > _NINE:
         return None
-    width = ends - starts
-    widest = int(width.max(initial=0))
+    sep = b < _ZERO
+    newline = b == _NEWLINE
+    # Two numbers a line at most.
+    most = 2 * (np.count_nonzero(newline) - 1)
+    if not (sep[1:] & sep[:-1]).any():
+        # One separator after each number: a blank, then a newline.
+        if np.count_nonzero(sep) - 1 > most:
+            return None
+        seps = np.flatnonzero(sep)
+        before, ends = seps[:-1], seps[1:]
+        after = b.take(ends)
+        if len(after) % 2:
+            return None
+        pairs = after.view("<u2")
+        if (np.count_nonzero(pairs == _BLANK_NEWLINE)
+                + np.count_nonzero(pairs == _TAB_NEWLINE)) != len(pairs):
+            return None
+    else:
+        if np.count_nonzero(sep) != (np.count_nonzero(newline) + np.count_nonzero(b == _BLANK)
+                                     + np.count_nonzero(b == _TAB)):
+            return None
+        # Each run starts after a separator and ends before one.
+        edge = sep[1:] != sep[:-1]
+        if np.count_nonzero(edge) > 2 * most:
+            return None
+        edges = np.flatnonzero(edge)
+        if len(edges) % 4:
+            return None
+        before, ends = edges[0::2], edges[1::2] + 1
+        # Newlines up to the separator before each number: equal for the
+        # two numbers of a line, larger for the next line's.
+        lines = np.flatnonzero(newline).searchsorted(before, side="right")
+        if (lines[1::2] != lines[0::2]).any() or (lines[2::2] == lines[1:-1:2]).any():
+            return None
+    gaps = ends - before
+    widest = int(gaps.max(initial=1)) - 1
     if widest > _MAX_DIGITS:
         return None
-    values = np.zeros(2 * m, dtype=np.int64)
-    for place in range(widest):  # from the units digit leftwards
-        digit = a.take(np.maximum(ends - 1 - place, starts)) - ord("0")
-        digit[width <= place] = 0
-        values += digit * _POWERS[place]
-    return EdgeListDocument(n, m, _read_only(values.reshape(m, 2)))
+    digits = np.clip(b, _ZERO, _NINE)
+    digits -= _ZERO
+    # Horner's rule from the leading place of the widest number; ``gaps``
+    # is spent, and holds the indices.
+    np.subtract(ends, widest, out=gaps)
+    np.maximum(gaps, before, out=gaps)
+    total = digits.take(gaps).astype(np.int32 if widest <= 9 else np.int64)
+    for lead in range(widest - 1, 0, -1):
+        np.subtract(ends, lead, out=gaps)
+        np.maximum(gaps, before, out=gaps)
+        total *= 10
+        total += digits.take(gaps)
+    return total
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -341,7 +435,19 @@ def build_digraph(doc: EdgeListDocument) -> Digraph:
 
 
 def load_digraph(path: str | Path) -> Digraph:
-    return build_digraph(parse_edge_list(Path(path).read_text(encoding="utf-8-sig")))
+    """Read, parse and validate the edge-list file at ``path``.
+
+    The file is UTF-8, with or without a BOM, and is read as bytes, as
+    ``read_text(encoding="utf-8-sig")`` would read it: a file that is only
+    the start of a BOM is empty, and text with a carriage return is decoded
+    and its breaks made ``\\n``, as text mode makes them.
+    """
+    data = Path(path).read_bytes()
+    if codecs.BOM_UTF8.startswith(data[:3]):
+        data = data[3:]
+    if b"\r" in data:
+        data = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    return build_digraph(parse_edge_list(data))
 
 
 # Byte budget of each block of rows rendered: bounded, so that memory does
@@ -419,9 +525,9 @@ def _render_rows(shape: tuple[int, int], fill: Callable[[int, np.ndarray], None]
     separator field as wide as the longer of ``sep`` and ``row_end``, with
     ``sep`` at its start. A block is one ``take`` into the cells, then one
     strided store writes ``row_end`` over the separator field of each
-    row's last cell; deleting the NULs leaves its text. Blocks stay near
-    ``_RENDER_BYTES``, read at the first block, so memory does not grow
-    with the rows rendered.
+    row's last cell; deleting the NULs, where a cell or ``row_end`` has
+    any, leaves its text. Blocks stay near ``_RENDER_BYTES``, read at the
+    first block, so memory does not grow with the rows rendered.
     ``head`` and ``tail`` are encoded as UTF-8, lone surrogates passed.
     """
     count, cols = shape
@@ -436,6 +542,8 @@ def _render_rows(shape: tuple[int, int], fill: Callable[[int, np.ndarray], None]
     index = np.empty((min(step, count), cols), dtype=np.intp)
     buf = np.empty(index.shape, dtype=cells.dtype)
     ends = buf.view(np.uint8).reshape(*buf.shape, -1)[:, -1, -field:]
+    # Only a cell or row end with a NUL makes text that needs them deleted.
+    padded = not table.all() or len(row_end) < field
     keep_end = count > 0 and tail.startswith(row_end)
     if keep_end:
         tail = tail[len(row_end):]
@@ -446,7 +554,9 @@ def _render_rows(shape: tuple[int, int], fill: Callable[[int, np.ndarray], None]
         out = buf[:len(rows)]
         cells.take(rows, out=out, mode="wrap")
         ends[:len(rows)] = end
-        text = out.tobytes().translate(None, b"\0")
+        text = out.tobytes()
+        if padded:
+            text = text.translate(None, b"\0")
         if not keep_end and r + step >= count:
             text = text[:len(text) - len(row_end)]
         yield text

@@ -135,8 +135,10 @@ def sigma_from_counts(counts: Sequence[np.ndarray]) -> int:
     """
     if not counts:
         raise ValueError("need at least one factor")
-    size = max(len(c) for c in counts)
-    cdfs = [np.cumsum(np.pad(c, (0, size - len(c)))).tolist() for c in counts]
+    cdfs = [np.cumsum(c).tolist() for c in counts]
+    size = max(map(len, cdfs))
+    # Past its diameter a factor's CDF stays at its last value.
+    cdfs = [cdf + cdf[-1:] * (size - len(cdf)) for cdf in cdfs]
     total = below = 0
     for v, upto_each in enumerate(zip(*cdfs)):
         upto = prod(upto_each)

@@ -1,5 +1,6 @@
 """Command-line contract: outputs are byte-exact and exit codes are stable."""
 
+import codecs
 import io
 import json
 import os
@@ -153,6 +154,34 @@ class TestCheck:
             "in position 15: invalid start byte\n"
         )
 
+    @pytest.mark.parametrize("lead", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
+    @pytest.mark.parametrize("body, err", [
+        (b"3 3\n0 1\n1 2\n2 0\n", ""),
+        (b"3 3\r\n0 1\r\n1 2\r\n2 0\r\n", ""),
+        (NON_UTF8_BYTES,
+         "'utf-8' codec can't decode byte 0xff in position 15: invalid start byte"),
+        (b"# \xff\n3 3\n0 1\n1 2\n2 0\n",
+         "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
+        (b"3 3\r\n0 1\r\n1 2\r\n2 0\xe2\x82\r\n",
+         "'utf-8' codec can't decode bytes in position 18-19: invalid continuation byte"),
+    ], ids=["lf", "crlf", "bad-body", "bad-comment", "bad-crlf"])
+    def test_a_bom_is_skipped(self, tmp_path, capsys, lead, body, err):
+        # Positions count from after the BOM, as a text-mode read counts them.
+        path = tmp_path / "g.el"
+        path.write_bytes(lead + body)
+        assert main(["check", str(path)]) == (2 if err else 0)
+        captured = capsys.readouterr()
+        assert captured.out == ("" if err else '{"n":3,"m":3,"strongly_connected":true}\n')
+        assert captured.err == (f"strongprod: error: {path}: {err}\n" if err else "")
+
+    @pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb", codecs.BOM_UTF8])
+    def test_the_start_of_a_bom_reads_as_empty(self, tmp_path, capsys, data):
+        path = tmp_path / "g.el"
+        path.write_bytes(data)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"strongprod: error: {path}: missing 'n m' header line\n")
+
     def test_zero_vertex_file_exits_two(self, graph_file, capsys):
         path = graph_file("empty.el", None, text="0 0\n")
         assert main(["check", path]) == 2
@@ -277,6 +306,24 @@ class TestApspRendering:
         assert main(["apsp", path, "--format", fmt]) == 0
         expected = _reference_apsp(all_pairs_distances(g).array, fmt)
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    @pytest.mark.parametrize("g", [
+        complete_digraph(1),
+        Digraph(4, []),
+        directed_cycle(6),
+        directed_cycle(12),
+        directed_path(6),
+        directed_path(12),
+    ], ids=["k1", "edgeless", "c6", "c12", "p6", "p12"])
+    def test_cells_of_the_distances_held(self, g, fmt):
+        # The cells run to the largest distance, with the unreachable token
+        # only where some pair is unreachable: the bytes of a table of every
+        # label up to n - 1 and the token, whether a distance reaches 10 or not.
+        d = all_pairs_distances(g).array
+        token, *layout = cli._LAYOUTS[fmt]
+        every_label = _render_rows(d.shape, _copy_rows(d), np.arange(len(d)), token, *layout)
+        assert "".join(cli._render(d, fmt)).encode() == b"".join(every_label)
 
     @pytest.mark.parametrize("fmt", ["tsv", "json"])
     @pytest.mark.parametrize("d", [
@@ -816,14 +863,25 @@ def test_counting_fits_where_a_factor_matrix_does_not(graph_file, capsys):
 
 
 def test_plain_file_past_memory_exits_four(graph_file):
-    # 3,000,000 arc lines, 12 MB: parsing and validating them takes more than
-    # the child's 300 MiB, and numpy's allocation is what fails.
-    path = graph_file("big.el", None, text="3 3000000\n" + "0 1\n" * 3000000)
+    # 12,000,000 arc lines, 48 MB: their 192 MB of int64 rows and the file's
+    # bytes take more than the child's 300 MiB, and numpy's allocation is
+    # what fails.
+    path = graph_file("big.el", None, text="3 12000000\n" + "0 1\n" * 12000000)
     done = _run_cli_limited(["check", path], 300 << 20)
     assert "Traceback" not in done.stderr
     assert done.returncode == 4, done.stderr
     assert done.stdout == ""
     assert done.stderr == "strongprod: error: out of memory\n"
+
+
+def test_plain_file_is_read_in_bounded_memory(graph_file):
+    # 3,000,000 arc lines, 12 MB, all one arc: parsed by blocks, the file
+    # reaches the repeat check under a 400 MiB cap.
+    path = graph_file("big.el", None, text="3 3000000\n" + "0 1\n" * 3000000)
+    done = _run_cli_limited(["check", path], 400 << 20)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == f"strongprod: error: {path}: arc (0, 1) listed more than once\n"
 
 
 @pytest.mark.parametrize("command, callee", [

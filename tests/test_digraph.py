@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strongprod.apsp as apsp
+import strongprod.digraph as digraph
 from strongprod.apsp import UNREACHABLE, all_pairs_distances, bfs_distances
 from strongprod.digraph import (
     _MAX_KEYED_ORDER,
@@ -92,7 +93,7 @@ class TestParseEdgeList:
         "#" * 5000 + "\n2 1\n0 1\n",
     ])
     def test_plain_bodies_take_the_array_route(self, text):
-        doc = _parse_arrays(text)
+        doc = _parse_arrays(text.encode())
         assert doc is not None
         assert _fields(doc) == _fields(_parse_lines(text))
 
@@ -120,7 +121,7 @@ class TestParseEdgeList:
         *_OTHER_BREAKS_UP_TO_THE_HEADER,
     ])
     def test_other_text_goes_to_the_line_scanner(self, text):
-        assert _parse_arrays(text) is None
+        assert _parse_arrays(text.encode()) is None
         if text in _OTHER_BREAKS_UP_TO_THE_HEADER:
             assert _fields(parse_edge_list(text)) == (2, 1, [[0, 1]])
 
@@ -718,7 +719,8 @@ def test_array_route_agrees_with_the_line_scanner(text):
     """Same counts and arcs, or the same error type and message."""
     outcome = _outcome(parse_edge_list, text)
     assert outcome == _outcome(_parse_lines, text)
-    doc = _parse_arrays(text)
+    assert outcome == _outcome(parse_edge_list, text.encode())
+    doc = _parse_arrays(text.encode("utf-8", "surrogatepass"))
     if doc is not None:
         assert ("ok", _fields(doc)) == outcome
         assert doc.arcs.dtype == np.int64
@@ -737,6 +739,102 @@ def test_array_route_agrees_with_the_line_scanner(text):
 
 @given(digraphs(max_n=12))
 def test_written_files_take_the_array_route(g):
-    doc = _parse_arrays(write_edge_list(g, comments=("c",)))
+    doc = _parse_arrays(write_edge_list(g, comments=("c",)).encode())
     assert doc is not None
     assert doc.arcs.tolist() == g.arc_array.tolist()
+
+
+# Plain lines: numbers of up to 18 digits, leading zeros too, with blanks
+# and tabs around and between them.
+_PLAIN_NUMBER = st.one_of(
+    st.integers(0, 400).map(str),
+    st.tuples(st.integers(1, 4), st.integers(0, 999)).map(lambda t: "0" * t[0] + str(t[1])),
+    st.integers(10**9, 10**18 - 1).map(str),
+)
+_PLAIN_BLANKS = st.text(alphabet=" \t", min_size=1, max_size=3)
+
+
+@st.composite
+def _plain_texts(draw):
+    """Plain edge-list text: no line break but ``\\n``, no comment after the header."""
+    arcs = draw(st.lists(st.tuples(_PLAIN_NUMBER, _PLAIN_NUMBER), max_size=8))
+    lines = []
+    for u, v in arcs:
+        lines += [""] * draw(st.integers(0, 2)) if draw(st.integers(0, 3)) == 0 else []
+        lead, gap, trail = (draw(st.sampled_from(["", "", "", " ", "\t ", "  "])),
+                            draw(_PLAIN_BLANKS), draw(st.sampled_from(["", "", " ", "\t\t"])))
+        lines.append(f"{lead}{u}{gap}{v}{trail}")
+    m = len(arcs) + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+    head = draw(st.sampled_from(["", "# c\n", "\n \t\n# caf\u00e9\n"]))
+    text = head + f"{draw(_PLAIN_NUMBER)} {max(m, 0)}\n" + "".join(line + "\n" for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+@given(_plain_texts())
+@settings(max_examples=300)
+@example("2 2\n0 1\n1 0")  # no final newline
+@example("2 1\n0000000000000000001 0\n")  # 19 digits: the line scanner's
+def test_bytes_parse_as_their_text(text):
+    """The text, its UTF-8 bytes and the line scanner give one outcome, and
+    the array route reads every plain text of the declared length."""
+    data = text.encode()
+    outcome = _outcome(parse_edge_list, text)
+    assert _outcome(parse_edge_list, data) == outcome == _outcome(_parse_lines, text)
+    doc = _parse_arrays(data)
+    if outcome[0] == "ok" and max(map(len, text.split())) <= 18:
+        assert doc is not None
+        assert doc.arcs.dtype == np.int64 and not doc.arcs.flags.writeable
+    if doc is not None:
+        assert ("ok", _fields(doc)) == outcome
+
+
+# Lines of 1 to 41 bytes, blank ones, tabs, and a last line without a newline.
+_BLOCK_TEXT = ("# a comment\n7 6\n0 1\n\n  12 3 \t\n" + "0" * 17 + "4 " + "9" * 18
+               + "\n \n5\t\t6\n000 0\n  \t\n1 2")
+
+
+@pytest.mark.parametrize("parse_bytes", [1, 2, 3, 5, 8, 13, 64])
+def test_lines_across_block_boundaries(parse_bytes, monkeypatch):
+    # Each block ends at a newline, so a line never straddles two blocks,
+    # even one longer than the block.
+    monkeypatch.setattr(digraph, "_PARSE_BYTES", parse_bytes)
+    expected = _fields(_parse_lines(_BLOCK_TEXT))
+    doc = _parse_arrays(_BLOCK_TEXT.encode())
+    assert doc is not None and _fields(doc) == expected
+    # A fault in a late block, and one more arc than declared, send the
+    # text to the scanner.
+    for text in (_BLOCK_TEXT + " 3", _BLOCK_TEXT + "\n3 4", _BLOCK_TEXT + "\n3 x\n"):
+        assert _parse_arrays(text.encode()) is None
+        assert _outcome(parse_edge_list, text.encode()) == _outcome(_parse_lines, text)
+
+
+def test_a_count_past_the_body_allocates_no_rows():
+    # A trillion declared arcs would be 16 TB of rows; the body has room
+    # for one line, so the count is a mismatch before any allocation.
+    tracemalloc.start()
+    try:
+        with pytest.raises(EdgeListFormatError, match="^declared 1000000000000 arcs, found 1$"):
+            parse_edge_list(b"3 1000000000000\n0 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize("data, m", [
+    # 3,000,000 arc lines, 12 MB: the int64 rows take 4 bytes a file byte,
+    # and each block of lines adds its own index arrays only.
+    (b"3 3000000\n" + b"0 1\n" * 3000000, 3000000),
+    # One line longer than any block, 4 MB of blanks: indexed by its two
+    # numbers and its newline, not by each blank.
+    (b"3 1\n0" + b" " * 4000000 + b"1\n", 1),
+], ids=["12MB-of-arcs", "4MB-line"])
+def test_a_plain_file_parses_in_bounded_memory(data, m):
+    tracemalloc.start()
+    try:
+        doc = parse_edge_list(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc.m == m and doc.arcs[::999999].tolist() == [[0, 1]] * len(range(0, m, 999999))
+    assert peak <= 8 * len(data)
