@@ -21,7 +21,6 @@ from .metrics import (
     MetricsReport,
     average_distance_product_n,
     product_distance_n,
-    sigma_counting_n,
     sigma_from_counts,
     sigma_naive_n,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "load_digraph",
     "parse_edge_list",
     "product_distance_n",
-    "sigma_counting_n",
     "sigma_from_counts",
     "sigma_naive_n",
     "strong_product_n",

@@ -13,13 +13,14 @@ All must agree exactly on every digraph, reachable or not.
 from __future__ import annotations
 
 from collections.abc import Callable
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .digraph import Digraph, _bfs, _integer
-from .errors import DistanceMatrixTooLargeError, NotStronglyConnectedError
+from .errors import DistanceMatrixTooLargeError, NotStronglyConnectedError, _memory_guard
 
 # Marks an unreachable pair in ``DistanceMatrix.array``.
 UNREACHABLE = -1
@@ -133,6 +134,22 @@ def _too_large(what: str, n: int, nbytes: int) -> DistanceMatrixTooLargeError:
     )
 
 
+def _matrix_guard(n: int) -> AbstractContextManager[None]:
+    """The memory guard of an n x n distance matrix in the kernel's dtype."""
+    nbytes = n * n * _kernel_dtype(n).itemsize
+    return _memory_guard(_too_large("distance matrix", n, nbytes), nbytes)
+
+
+def _floyd(g: Digraph) -> np.ndarray:
+    """Floyd-Warshall's distances of ``g``, ``UNREACHABLE`` where there is no
+    path; its two matrices are the most either entry point ever holds."""
+    with _matrix_guard(g.n):
+        d = _initial_distances(g)
+        _relax(d)
+        d[d == _sentinel(d.dtype)] = UNREACHABLE
+    return d
+
+
 def all_pairs_distances(g: Digraph) -> DistanceMatrix:
     """All-pairs shortest directed path lengths of ``g``.
 
@@ -141,23 +158,15 @@ def all_pairs_distances(g: Digraph) -> DistanceMatrix:
     :class:`DistanceMatrixTooLargeError` when the matrix, or the work
     arrays of either kernel, do not fit in memory.
     """
-    dtype = _kernel_dtype(g.n)
-    nbytes = g.n * g.n * dtype.itemsize
-    too_large = _too_large("distance matrix", g.n, nbytes)
-    if nbytes > np.iinfo(np.intp).max:
-        raise too_large
-    try:
+    with _matrix_guard(g.n):
         # The matrix comes first: an order too large for it fails here,
         # before any other array of n entries is made.
-        d = np.empty((g.n, g.n), dtype=dtype)
-        if not _bfs_fill(d, g, _bfs_level_budget(g.n, g.m)):
-            del d  # Floyd-Warshall allocates two matrices of its own
-            d = _initial_distances(g)
-            _relax(d)
-            d[d == _sentinel(d.dtype)] = UNREACHABLE
-    except MemoryError:
-        raise too_large from None
-    return DistanceMatrix(d)
+        d = np.empty((g.n, g.n), dtype=_kernel_dtype(g.n))
+        searched = _bfs_fill(d, g, _bfs_level_budget(g.n, g.m))
+    if searched:
+        return DistanceMatrix(d)
+    del d  # Floyd-Warshall allocates two matrices of its own
+    return DistanceMatrix(_floyd(g))
 
 
 def distance_counts(g: Digraph) -> np.ndarray:
@@ -174,9 +183,6 @@ def distance_counts(g: Digraph) -> np.ndarray:
     words = -(-g.n // 64)
     # The search's three bit sets: frontier, new and unreached targets.
     nbytes = 3 * g.n * words * _WORD.itemsize
-    too_large = _too_large("distance search", g.n, nbytes)
-    if nbytes > np.iinfo(np.intp).max:
-        raise too_large
     # Each level's popcounts fill one row of a block, and a full block is
     # summed at once: a sum per level would cost more than its popcounts.
     counts = [np.array([g.n], dtype=np.int64)]
@@ -190,33 +196,24 @@ def distance_counts(g: Digraph) -> np.ndarray:
         if row == len(block) - 1:
             counts.append(block.sum(axis=(1, 2), dtype=np.int64))
 
-    try:
+    with _memory_guard(_too_large("distance search", g.n, nbytes), nbytes):
         block = np.empty((max(1, _COUNT_BLOCK // (g.n * words)), g.n, words), np.uint8)
         searched = _bfs_levels(g, _bfs_level_budget(g.n, g.m), count_level) is not None
-    except MemoryError:
-        raise too_large from None
-    if searched:
-        counts.append(block[:levels % len(block)].sum(axis=(1, 2), dtype=np.int64))
-        return np.concatenate(counts)
-    try:
-        d = _initial_distances(g)
-        _relax(d)
-    except MemoryError:
-        nbytes = g.n * g.n * _kernel_dtype(g.n).itemsize
-        raise _too_large("distance matrix", g.n, nbytes) from None
-    # Every distance is below n, so the sentinel counts as n, and is dropped.
-    np.minimum(d, g.n, out=d)
-    return np.trim_zeros(_distance_counts(d)[:g.n], "b")
+    if not searched:
+        return _distance_counts(_floyd(g))
+    counts.append(block[:levels % len(block)].sum(axis=(1, 2), dtype=np.int64))
+    return np.concatenate(counts)
 
 
 def _distance_counts(a: np.ndarray) -> np.ndarray:
-    """How many entries of the nonnegative matrix ``a`` hold each value up to
-    its largest, counted a block of rows at a time."""
-    counts = np.zeros(int(a.max()) + 1, dtype=np.int64)
+    """How many entries of the distance array ``a`` hold each distance up to
+    its largest, ``UNREACHABLE`` left out, counted a block of rows at a time."""
+    # Shifted by one, UNREACHABLE (-1) counts at 0, which is dropped.
+    counts = np.zeros(int(a.max()) + 2, dtype=np.int64)
     step = max(1, _COUNT_BLOCK // a.shape[1])
     for r in range(0, len(a), step):
-        counts += np.bincount(a[r:r + step].ravel(), minlength=len(counts))
-    return counts
+        counts += np.bincount(a[r:r + step].ravel() + 1, minlength=len(counts))
+    return counts[1:]
 
 
 # The work bound, in word operations: a BFS level costs (m + n) * words

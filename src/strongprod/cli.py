@@ -16,13 +16,13 @@ be read, or ``OrderTooSmallError``), 3 not strongly connected
 ``avgdist --method naive`` and ``oracle``, or a product too large for
 memory; ``DistanceMatrixTooLargeError`` for a distance matrix, or a
 distance search's bit sets, too large for memory; any other allocation
-that fails, with the fixed message ``out of memory``). Each ends the run
-with one ``strongprod: error:`` line on standard error. ``avgdist``
-learns a factor's strong connectivity from its distance counts
-(``counting``) or its distance matrix (``naive``), so a factor in which
-every vertex has an out-arc and an in-arc but whose search or matrix
-does not fit exits 4, connected or not; one with a vertex that lacks
-either exits 3 at once.
+that fails, with the fixed message ``out of memory``, also while another
+error is being reported). Each ends the run with one ``strongprod:
+error:`` line on standard error. ``avgdist`` learns a factor's strong
+connectivity from its distance counts (``counting``) or its distance
+matrix (``naive``), so a factor in which every vertex has an out-arc and
+an in-arc but whose search or matrix does not fit exits 4, connected or
+not; one with a vertex that lacks either exits 3 at once.
 """
 
 from __future__ import annotations
@@ -218,14 +218,16 @@ def main(argv: Sequence[str] | None = None) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     try:
-        # By name per call: the parser is built once, and a command may be rebound.
-        return globals()[f"cmd_{args.subcommand}"](args)
-    except tuple(_EXIT_CODES) as exc:
-        print(f"strongprod: error: {exc}", file=sys.stderr)
-        return next(code for error, code in _EXIT_CODES.items()
-                    if isinstance(exc, error))
+        try:
+            # By name per call: the parser is built once, and a command may be rebound.
+            return globals()[f"cmd_{args.subcommand}"](args)
+        except tuple(_EXIT_CODES) as exc:
+            print(f"strongprod: error: {exc}", file=sys.stderr)
+            return next(code for error, code in _EXIT_CODES.items()
+                        if isinstance(exc, error))
     except MemoryError:
-        # Numpy's own text names sizes that vary with its version.
+        # In the command or in its report. Numpy's own text names sizes that
+        # vary with its version.
         print("strongprod: error: out of memory", file=sys.stderr)
         return EXIT_SIZE_LIMIT
 

@@ -418,7 +418,8 @@ def _parse_lines(text: str) -> EdgeListDocument:
 
 def _two_integers(number: int, content: str, form: str) -> tuple[int, int]:
     """The two integers of data line ``number``, which should read ``form``."""
-    tokens = content.split()
+    # A third field, whatever follows it, is a fault: split no further.
+    tokens = content.split(None, 2)
     if len(tokens) != 2:
         raise EdgeListFormatError(f"expected {form!r}, got {content!r}", line=number)
     try:

@@ -6,6 +6,10 @@ category: input format and digraph validity (exit 2), connectivity
 arguments raise ``ValueError``, ``IndexError`` or ``TypeError``.
 """
 
+import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
+
 
 class StrongProdError(Exception):
     """Base class of the failure categories below."""
@@ -47,3 +51,15 @@ class ProductTooLargeError(StrongProdError):
 
 class DistanceMatrixTooLargeError(StrongProdError):
     """A distance matrix, or the work arrays of a distance kernel, do not fit in memory."""
+
+
+@contextmanager
+def _memory_guard(error: StrongProdError, nbytes: int) -> Iterator[None]:
+    """Raise ``error`` before the block runs when numpy cannot address
+    ``nbytes`` (its intp is ``sys.maxsize``), and for a ``MemoryError`` in it."""
+    if nbytes > sys.maxsize:
+        raise error
+    try:
+        yield
+    except MemoryError:
+        raise error from None

@@ -29,13 +29,7 @@ from typing import TypeVar
 
 import numpy as np
 
-from .apsp import (
-    DistanceMatrix,
-    _distance_counts,
-    all_pairs_distances,
-    diameter,
-    distance_counts,
-)
+from .apsp import DistanceMatrix, all_pairs_distances, diameter, distance_counts
 from .digraph import Digraph, _fails_degree_screen, is_strongly_connected
 from .errors import NotStronglyConnectedError, OrderTooSmallError
 from .product import DEFAULT_MAX_PRODUCT_VERTICES, _check_vertex_limit, strong_product_n
@@ -110,16 +104,6 @@ def sigma_naive_n(ds: Sequence[DistanceMatrix]) -> int:
         else:
             stack.append((np.maximum.outer(acc, flats[depth]).ravel(), depth + 1))
     return total
-
-
-def sigma_counting_n(ds: Sequence[DistanceMatrix]) -> int:
-    """Same sum as :func:`sigma_naive_n` from the factor distance CDFs.
-
-    Each matrix is counted a block of rows at a time, and the counts go
-    to :func:`sigma_from_counts`. Cost O(sum n_i^2 + k * D) for k factors
-    and largest diameter D.
-    """
-    return sigma_from_counts([_distance_counts(d.finite_array()) for d in ds])
 
 
 def sigma_from_counts(counts: Sequence[np.ndarray]) -> int:

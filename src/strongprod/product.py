@@ -20,7 +20,7 @@ from math import prod
 import numpy as np
 
 from .digraph import _VERTEX_LIMIT, Digraph, _integer, _key_dtype
-from .errors import ProductTooLargeError
+from .errors import ProductTooLargeError, _memory_guard
 
 # Explicit products exist to cross-check the factor-based metrics, which
 # have no such limit; keep the oracle path from accidentally exploding.
@@ -93,10 +93,7 @@ def strong_product_n(
     _check_vertex_limit(n, max_vertices)
     m = prod(g.n + g.m for g in gs) - n
     dtype = _key_dtype(n)
-    # Numpy addresses no more bytes than intp holds.
-    if dtype.itemsize * m > np.iinfo(np.intp).max:
-        raise _too_large(n, m)
-    try:
+    with _memory_guard(_too_large(n, m), dtype.itemsize * m):
         # Keys of the arcs of the factors done so far (a suffix), and its order.
         # Every value formed below, partial products included, is below
         # N * N, so the key dtype holds it.
@@ -122,8 +119,6 @@ def strong_product_n(
                 start += len(block)
             order *= g.n
         keys.sort()
-    except MemoryError:
-        raise _too_large(n, m) from None
     # Past 2**63 vertices (object keys) an arc's label may not fit int64.
     if n > _VERTEX_LIMIT and m and max(keys[-1] // n, (keys % n).max()) >= _VERTEX_LIMIT:
         raise ProductTooLargeError(

@@ -13,13 +13,19 @@ from fractions import Fraction
 
 import pytest
 
-from strongprod.apsp import UNREACHABLE, all_pairs_distances, bfs_distances, diameter
+from strongprod.apsp import (
+    UNREACHABLE,
+    all_pairs_distances,
+    bfs_distances,
+    diameter,
+    distance_counts,
+)
 from strongprod.cli import main
 from strongprod.digraph import write_edge_list
 from strongprod.metrics import (
     average_distance_product_n,
     product_distance_n,
-    sigma_counting_n,
+    sigma_from_counts,
     sigma_naive_n,
 )
 from strongprod.product import strong_product_n
@@ -187,7 +193,8 @@ def test_criterion_5_sigma_method_agreement(factor_pairs):
         d1, d2 = all_pairs_distances(g1), all_pairs_distances(g2)
         explicit = all_pairs_distances(strong_product_n([g1, g2]))
         oracle_sigma = int(explicit.finite_array().sum())
-        if not sigma_naive_n([d1, d2]) == sigma_counting_n([d1, d2]) == oracle_sigma:
+        counting = sigma_from_counts([distance_counts(g1), distance_counts(g2)])
+        if not sigma_naive_n([d1, d2]) == counting == oracle_sigma:
             disagreements += 1
     _report(5, "sigma agreement: naive = counting = explicit, 200 pairs",
             disagreements == 0)

@@ -450,6 +450,20 @@ def test_distance_counts_name_a_search_past_numpy_sizes():
         distance_counts(g)
 
 
+@pytest.mark.parametrize("call", [all_pairs_distances, distance_counts])
+def test_floyd_warshall_out_of_memory_is_named(call, monkeypatch):
+    # Past the work bound, a failed allocation in Floyd-Warshall names the
+    # int16 matrix, whichever entry point ran it.
+    def fail(d):
+        raise MemoryError()
+
+    monkeypatch.setattr(apsp, "_relax", fail)
+    with pytest.raises(DistanceMatrixTooLargeError,
+                       match=r"^the 200 x 200 distance matrix \(80000 bytes\) "
+                             r"does not fit in memory$"):
+        call(half_clique_and_path(200))
+
+
 def test_distance_counts_name_a_search_out_of_memory(monkeypatch):
     def fail(*args):
         raise MemoryError()

@@ -33,6 +33,7 @@ from strongprod.digraph import (
     parse_edge_list,
     write_edge_list,
 )
+from strongprod.errors import NotStronglyConnectedError
 from strongprod.product import strong_product_n
 
 from .generate import complete_digraph, directed_cycle, directed_path
@@ -898,6 +899,21 @@ def test_any_memory_error_exits_four(graph_file, capsys, monkeypatch, command, c
     path = graph_file("c3.el", directed_cycle(3))
     paths = [path] if command in ("check", "apsp") else [path, path]
     assert main([command, *paths]) == 4
+    assert capsys.readouterr() == ("", "strongprod: error: out of memory\n")
+
+
+def test_a_report_out_of_memory_exits_four(graph_file, capsys, monkeypatch):
+    # The error's own message cannot be made: exit 4 all the same, with
+    # the fixed line and nothing of the failed report.
+    class Unprintable(NotStronglyConnectedError):
+        def __str__(self):
+            raise MemoryError()
+
+    def fail(args):
+        raise Unprintable("no directed path from 0 to 1")
+
+    monkeypatch.setattr(cli, "cmd_check", fail)
+    assert main(["check", graph_file("c3.el", directed_cycle(3))]) == 4
     assert capsys.readouterr() == ("", "strongprod: error: out of memory\n")
 
 

@@ -838,3 +838,17 @@ def test_a_plain_file_parses_in_bounded_memory(data, m):
         tracemalloc.stop()
     assert doc.m == m and doc.arcs[::999999].tolist() == [[0, 1]] * len(range(0, m, 999999))
     assert peak <= 8 * len(data)
+
+
+def test_a_long_faulty_line_is_split_at_most_twice():
+    # 600,000 numbers on one arc line: the scanner needs only the first
+    # three fields to refuse it, so it makes no list of 600,000 tokens.
+    text = "1 1\n" + " ".join(["1"] * 600000) + "\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(EdgeListFormatError, match="^line 2: expected 'u v', got '1 1 1 "):
+            parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * len(text)
