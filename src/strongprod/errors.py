@@ -2,7 +2,8 @@
 
 The CLI maps these onto its exit codes, so there is one class per failure
 category: input format and digraph validity (exit 2), connectivity
-(exit 3), and size limits (exit 4). Mistakes in a library call's
+(exit 3), and size limits (exit 4), which ``_memory_guard`` raises for
+every allocation too large for memory. Mistakes in a library call's
 arguments raise ``ValueError``, ``IndexError`` or ``TypeError``.
 """
 
