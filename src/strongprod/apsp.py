@@ -254,13 +254,14 @@ def _vertex_bits(v: np.ndarray) -> np.ndarray:
     return np.left_shift(np.uint64(1), (v & 63).astype(np.uint64))
 
 
-def _all_but_self(v: np.ndarray, words: int) -> np.ndarray:
-    """Rows of packed vertex sets: every vertex except ``v[i]``.
+def _all_but_self(v: np.ndarray, n: int) -> np.ndarray:
+    """Rows of packed sets of the ``n`` vertices: every vertex except ``v[i]``.
 
-    Bits past the last vertex are set too; no level ever reaches them, and
-    the assembly does not read them.
+    Bits past vertex ``n - 1`` in the last word are clear, so a set that
+    every level has emptied holds no bit at all.
     """
-    rows = np.full((len(v), words), np.iinfo(np.uint64).max, dtype=_WORD)
+    rows = np.full((len(v), -(-n // 64)), np.iinfo(np.uint64).max, dtype=_WORD)
+    rows[:, -1] >>= np.uint64(-n % 64)
     rows[np.arange(len(v)), v >> 6] ^= _vertex_bits(v)
     return rows
 
@@ -337,11 +338,14 @@ def _bfs_levels(
     one ``reduceat`` and keeps the targets v has not reached yet. Each
     level that reaches new targets is handed to ``consume(level, new,
     unreached)``: the targets first reached at that level, and those not
-    reached before it. Returns the targets never reached, or None when a
-    level past ``max_levels`` still reaches new targets, that is when a
-    distance exceeds ``max_levels``; the level that reaches nothing and
-    ends the search does not count against it. ``g.n - 1`` levels always
-    suffice.
+    reached before it. The walk ends right after a level that leaves no
+    target unreached, or else at the first level that reaches nothing;
+    where ``m <= n`` only the latter is checked, since the former reads as
+    many rows as a level gathers. Returns the targets never reached, or
+    None when a level past ``max_levels`` still reaches new targets, that
+    is when a distance exceeds ``max_levels``; a level that reaches
+    nothing and ends the search does not count against it. ``g.n - 1``
+    levels always suffice.
     """
     n = g.n
     words = -(-n // 64)
@@ -350,12 +354,15 @@ def _bfs_levels(
     v = np.arange(n)
     frontier = np.zeros((n, words), dtype=_WORD)
     frontier[v, v >> 6] = _vertex_bits(v)
-    unreached = _all_but_self(v, words)
+    unreached = _all_but_self(v, n)
     unreached[sinks] = 0
     new = np.empty_like(frontier)
     chunks = _gather_chunks(offsets, heads, words)
     longest = max((len(h) for _, h, starts in chunks if starts is not None), default=0)
     gathered = np.empty((longest, words), dtype=_WORD)
+    # The test that every target is reached reads n rows: worth it only
+    # where a level gathers more.
+    check = g.m > n
     level = 1
     while True:
         for tails, heads, starts in chunks:
@@ -371,9 +378,12 @@ def _bfs_levels(
             return None
         consume(level, new, unreached)
         np.bitwise_xor(unreached, new, out=unreached)
+        if check and not np.count_nonzero(unreached):
+            break
         frontier, new = new, frontier
         level += 1
-    unreached[sinks] = _all_but_self(sinks, words)
+    if len(sinks):
+        unreached[sinks] = _all_but_self(sinks, n)
     return unreached
 
 

@@ -421,13 +421,25 @@ def _two_integers(number: int, content: str, form: str) -> tuple[int, int]:
     # A third field, whatever follows it, is a fault: split no further.
     tokens = content.split(None, 2)
     if len(tokens) != 2:
-        raise EdgeListFormatError(f"expected {form!r}, got {content!r}", line=number)
+        raise EdgeListFormatError(f"expected {form!r}, got {_quoted(content)}", line=number)
     try:
         return int(tokens[0]), int(tokens[1])
     except ValueError:
         raise EdgeListFormatError(
-            f"expected two integers, got {content!r}", line=number
+            f"expected two integers, got {_quoted(content)}", line=number
         ) from None
+
+
+# Most characters of a faulty line that a message quotes, so that the
+# message stays one short line however long the line is.
+_QUOTED_CHARS = 40
+
+
+def _quoted(line: str) -> str:
+    """``repr(line)``; past ``_QUOTED_CHARS`` characters, that of its first ones and ``...``."""
+    if len(line) <= _QUOTED_CHARS:
+        return repr(line)
+    return repr(line[:_QUOTED_CHARS]) + "..."
 
 
 def build_digraph(doc: EdgeListDocument) -> Digraph:
@@ -522,29 +534,30 @@ def _render_rows(shape: tuple[int, int], fill: Callable[[int, np.ndarray], None]
     row end's place. Where ``tail`` begins with ``row_end`` the last row
     end stays and only the rest of ``tail`` follows, so that no block is
     copied to trim it. Each label, and ``extra``, has a fixed-width cell
-    of ASCII bytes: the token right-aligned and NUL-padded, then a
-    separator field as wide as the longer of ``sep`` and ``row_end``, with
-    ``sep`` at its start. A block is one ``take`` into the cells, then one
-    strided store writes ``row_end`` over the separator field of each
-    row's last cell; deleting the NULs, where a cell or ``row_end`` has
-    any, leaves its text. Blocks stay near ``_RENDER_BYTES``, read at the
-    first block, so memory does not grow with the rows rendered.
-    ``head`` and ``tail`` are encoded as UTF-8, lone surrogates passed.
+    of ASCII bytes: the token right-aligned and NUL-padded, then ``sep``.
+    A row of a block is its cells, then as many spare bytes as ``row_end``
+    is longer than ``sep``, which must not be shorter. A block is one
+    ``take`` into the cells of a buffer of such rows, then one strided
+    store of ``row_end`` over each row's last separator and spare bytes.
+    Only labels of unequal widths, or an ``extra`` of another width, pad
+    a cell with NULs, and only then is each block's text scanned to delete
+    them. Blocks stay near ``_RENDER_BYTES``, read at the first block, so
+    memory does not grow with the rows rendered. ``head`` and ``tail`` are
+    encoded as UTF-8, lone surrogates passed.
     """
     count, cols = shape
-    field = max(len(sep), len(row_end))
-    table = _cell_table(labels, extra, sep, field)
+    table = _cell_table(labels, extra, sep)
     cells = table.view(f"S{table.shape[1]}").ravel()
-    end = np.zeros(field, dtype=np.uint8)
-    end[:len(row_end)] = list(row_end.encode("ascii"))
+    end = np.frombuffer(row_end.encode("ascii"), dtype=np.uint8)
+    row_bytes = cols * cells.itemsize + len(row_end) - len(sep)
     # A block's cells, their bytes and its text are alive at once, beside
     # its indices.
-    step = max(1, _RENDER_BYTES // (3 * cols * cells.itemsize))
+    step = max(1, _RENDER_BYTES // (3 * row_bytes))
     index = np.empty((min(step, count), cols), dtype=np.intp)
-    buf = np.empty(index.shape, dtype=cells.dtype)
-    ends = buf.view(np.uint8).reshape(*buf.shape, -1)[:, -1, -field:]
-    # Only a cell or row end with a NUL makes text that needs them deleted.
-    padded = not table.all() or len(row_end) < field
+    buf = np.empty((len(index), row_bytes), dtype=np.uint8)
+    row_cells = buf[:, :cols * cells.itemsize].view(cells.dtype)
+    ends = buf[:, row_bytes - len(row_end):]
+    padded = not table.all()
     keep_end = count > 0 and tail.startswith(row_end)
     if keep_end:
         tail = tail[len(row_end):]
@@ -552,10 +565,9 @@ def _render_rows(shape: tuple[int, int], fill: Callable[[int, np.ndarray], None]
     for r in range(0, count, step):
         rows = index[:min(step, count - r)]
         fill(r, rows)
-        out = buf[:len(rows)]
-        cells.take(rows, out=out, mode="wrap")
+        cells.take(rows, out=row_cells[:len(rows)], mode="wrap")
         ends[:len(rows)] = end
-        text = out.tobytes()
+        text = buf[:len(rows)].tobytes()
         if padded:
             text = text.translate(None, b"\0")
         if not keep_end and r + step >= count:
@@ -564,17 +576,17 @@ def _render_rows(shape: tuple[int, int], fill: Callable[[int, np.ndarray], None]
     yield tail.encode("utf-8", "surrogatepass")
 
 
-def _cell_table(labels: np.ndarray, extra: str | None, sep: str, field: int) -> np.ndarray:
+def _cell_table(labels: np.ndarray, extra: str | None, sep: str) -> np.ndarray:
     """A uint8 row of cell bytes per label, then one for ``extra`` if given.
 
     A cell is the token right-aligned in a NUL-padded field as wide as the
-    widest token, then ``sep`` at the start of a NUL-padded ``field``.
+    widest token, then ``sep``.
     """
     value = labels.astype(np.int64)
     digits = len(str(int(value.max(initial=0))))
     width = max(digits, len(extra or ""))
-    table = np.zeros((len(value) + (extra is not None), width + field), dtype=np.uint8)
-    table[:, width:width + len(sep)] = list(sep.encode("ascii"))
+    table = np.zeros((len(value) + (extra is not None), width + len(sep)), dtype=np.uint8)
+    table[:, width:] = list(sep.encode("ascii"))
     if extra is not None:
         table[-1, width - len(extra):width] = list(extra.encode("ascii"))
     # Units digit first; a place left of a label's leading digit stays NUL.

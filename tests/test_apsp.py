@@ -5,6 +5,7 @@ small graphs before being frozen here.
 """
 
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -297,9 +298,17 @@ def _two_cycles(n):
     return Digraph(n, arcs)
 
 
+def _with_sink(n):
+    """A cycle on vertices 0..n-2, each with an arc into the sink n - 1."""
+    cycle = [(i, (i + 1) % (n - 1)) for i in range(n - 1)] if n > 2 else []
+    return Digraph(n, cycle + [(i, n - 1) for i in range(n - 1)])
+
+
 def _family(name, n):
     rng = random.Random(n)
     return {
+        "complete": lambda: complete_digraph(n),
+        "sink": lambda: _with_sink(n),
         "cycle": lambda: directed_cycle(n) if n > 1 else complete_digraph(1),
         "path": lambda: directed_path(n),
         "sparse": lambda: random_digraph(rng, n, min(1.0, 2 / n)),
@@ -310,9 +319,12 @@ def _family(name, n):
     }[name]()
 
 
-@pytest.mark.parametrize("name", [
-    "cycle", "path", "sparse", "dense", "edgeless", "source", "two_cycles",
-])
+WORD_BOUNDARY_FAMILIES = [
+    "complete", "sink", "cycle", "path", "sparse", "dense", "edgeless", "source", "two_cycles",
+]
+
+
+@pytest.mark.parametrize("name", WORD_BOUNDARY_FAMILIES)
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 300])
 def test_packed_bfs_matches_bfs_across_word_boundaries(name, n):
     g = _family(name, n)
@@ -320,6 +332,88 @@ def test_packed_bfs_matches_bfs_across_word_boundaries(name, n):
     assert d.dtype == _kernel_dtype(n) and d.flags.c_contiguous
     for source in range(n):
         assert d[source].tolist() == bfs_row(g, source)
+
+
+@pytest.mark.parametrize("name", WORD_BOUNDARY_FAMILIES)
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129])
+def test_distance_counts_match_bfs_across_word_boundaries(name, n):
+    g = _family(name, n)
+    rows = np.array([bfs_row(g, source) for source in range(n)])
+    assert distance_counts(g).tolist() == np.bincount(rows[rows != UNREACHABLE]).tolist()
+
+
+def _walk(g):
+    """Walk ``g``'s levels with no bound: the targets never reached, the
+    gathers made, and the ``count_nonzero`` calls, one a gather for its
+    new targets and one for each check that every target is reached."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            calls.append(getattr(arg, "__qualname__", None))
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        unreached = apsp._bfs_levels(g, g.n, lambda *level: None)
+    finally:
+        sys.setprofile(outer)
+    # Each gather takes the frontier rows of each run of tails once.
+    runs = len(apsp._gather_chunks(*g._out_csr, -(-g.n // 64)))
+    gathers, rest = divmod(calls.count("ndarray.take"), runs)
+    assert not rest
+    return unreached, gathers, calls.count("count_nonzero")
+
+
+def _largest_distance(g):
+    return max(max((e for e in bfs_distances(g, s) if e is not None)) for s in range(g.n))
+
+
+@pytest.mark.parametrize("n", [3, 63, 64, 65, 127, 128, 129])
+def test_a_walk_on_a_complete_digraph_gathers_once(n):
+    # Level 1 reaches every target, and bits past vertex n - 1 are not
+    # targets to wait for.
+    unreached, gathers, counts = _walk(complete_digraph(n))
+    assert not unreached.any()
+    assert (gathers, counts) == (1, 2)
+
+
+@pytest.mark.parametrize("n", [4, 64, 65, 129])
+def test_a_walk_stops_when_all_but_the_sink_reach_everything(n):
+    # The sink reaches nothing, yet the walk ends on the level at which
+    # every other vertex has reached every target, and no later.
+    g = _with_sink(n)
+    assert g.m > n
+    unreached, gathers, counts = _walk(g)
+    assert gathers == _largest_distance(g) == n - 2
+    assert counts == 2 * gathers
+    d = all_pairs_distances(g).array
+    assert d[-1, :-1].tolist() == [UNREACHABLE] * (n - 1) and d[-1, -1] == 0
+    assert np.array_equal(d, packed_bfs(g))
+
+
+@pytest.mark.parametrize("name", ["source", "two_cycles"])
+@pytest.mark.parametrize("n", [6, 65])
+def test_a_walk_that_leaves_pairs_unreached_ends_on_an_empty_level(name, n):
+    g = _family(name, n)
+    unreached, gathers, counts = _walk(g)
+    assert unreached.any()
+    assert gathers == _largest_distance(g) + 1
+    # A check that every target is reached follows each level that
+    # reaches some, where m > n.
+    assert counts == (2 * gathers - 1 if g.m > n else gathers)
+
+
+@pytest.mark.parametrize("g", [
+    directed_cycle(150), directed_path(65), _two_cycles(64),
+], ids=["c150", "p65", "two-cycles-64"])
+def test_a_walk_with_no_more_arcs_than_vertices_makes_no_reach_check(g):
+    # Its levels gather no more rows than the check would read: the walk
+    # ends on the level that reaches nothing, with one count a level.
+    assert g.m <= g.n
+    _, gathers, counts = _walk(g)
+    assert gathers == _largest_distance(g) + 1
+    assert counts == gathers
 
 
 @pytest.mark.parametrize("buffer_bytes", [1, 200, 1000])

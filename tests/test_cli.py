@@ -100,6 +100,19 @@ class TestCheck:
             f"strongprod: error: {path}: line 4: expected 'u v', got '0 1 2'\n"
         )
 
+    @pytest.mark.parametrize("line, fault", [
+        (" ".join(["1"] * 500000), "expected 'u v'"),
+        ("1 " + "x" * 1000000, "expected two integers"),
+    ], ids=["many-numbers", "long-token"])
+    def test_a_1mb_faulty_line_is_quoted_short(self, graph_file, capsys, line, fault):
+        path = graph_file("line.el", None, text=f"1 1\n{line}\n")
+        assert main(["check", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"strongprod: error: {path}: line 2: {fault}, got {line[:40]!r}...\n"
+        )
+
     def test_invalid_digraph_names_file(self, graph_file, capsys):
         path = graph_file("dup.el", None, text="2 2\n0 1\n0 1\n")
         assert main(["check", path]) == 2
@@ -289,6 +302,24 @@ def _square_arrays(max_n):
     ).map(lambda values: np.array(values, dtype=np.int16).reshape(n, n)))
 
 
+def _nul_scans(render):
+    """``render()``, and how many ``bytes.translate`` calls, the renderer's
+    scan that deletes NUL padding, it made."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__qualname__", None) == "bytes.translate":
+            calls.append(arg)
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = render()
+    finally:
+        sys.setprofile(outer)
+    return result, len(calls)
+
+
 class TestApspRendering:
     """The shared byte-cell renderer, on apsp matrices and on edge rows,
     against plain references."""
@@ -296,12 +327,14 @@ class TestApspRendering:
     @pytest.mark.parametrize("fmt", ["tsv", "json"])
     @pytest.mark.parametrize("g", [
         complete_digraph(1),
+        complete_digraph(5),
         directed_path(5),
+        directed_path(12),
         Digraph(6, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2), (5, 0)]),
         # Distances up to 1000 and 1001: tokens cross from three to four digits.
         directed_path(1001),
         directed_cycle(1002),
-    ], ids=["k1", "p5", "two-parts", "p1001", "c1002"])
+    ], ids=["k1", "k5", "p5", "p12", "two-parts", "p1001", "c1002"])
     def test_cli_matches_reference(self, graph_file, capsys, g, fmt):
         path = graph_file("g.el", g)
         assert main(["apsp", path, "--format", fmt]) == 0
@@ -327,17 +360,32 @@ class TestApspRendering:
         assert "".join(cli._render(d, fmt)).encode() == b"".join(every_label)
 
     @pytest.mark.parametrize("fmt", ["tsv", "json"])
-    @pytest.mark.parametrize("d", [
-        # n = 1: the unreachable token is wider than every label.
-        np.array([[UNREACHABLE]]),
-        # Labels of one and two digits among unreachable pairs; in json the
-        # row end "],[" is wider than the separator ",".
-        np.arange(144).reshape(12, 12) % 13 - 1,
-    ], ids=["unreachable-1", "mixed-12"])
-    def test_layouts_match_reference(self, monkeypatch, d, fmt):
+    @pytest.mark.parametrize("d, padded", [
+        # n = 1: the unreachable token's cell, or a label's, is the only one.
+        (np.array([[UNREACHABLE]]), False),
+        (np.array([[0]]), False),
+        # Labels of one width; in json the row end "],[" is wider than the
+        # separator ",", which its spare bytes make up for.
+        (np.arange(144).reshape(12, 12) % 10, False),
+        # Labels of one and two digits among unreachable pairs.
+        (np.arange(144).reshape(12, 12) % 13 - 1, True),
+        # One width, but the unreachable token is wider.
+        (np.arange(144).reshape(12, 12) % 10 - 1, True),
+    ], ids=["unreachable-1", "zero-1", "one-width-12", "mixed-12", "one-width-unreachable"])
+    def test_layouts_match_reference(self, monkeypatch, d, padded, fmt):
+        # Text with NUL-padded cells is scanned to delete them; text of
+        # cells of one width, whatever the layout, is not.
         for block_bytes in (0, 40, 1 << 17):
             monkeypatch.setattr(digraph, "_RENDER_BYTES", block_bytes)
-            assert "".join(cli._render(d, fmt)) == _reference_apsp(d, fmt)
+            text, scans = _nul_scans(lambda: "".join(cli._render(d, fmt)))
+            assert text == _reference_apsp(d, fmt)
+            assert bool(scans) == padded
+
+    def test_edge_lines_of_one_label_width_take_no_nul_scan(self):
+        for labels, padded in ((EDGE_LABELS, True), ([3, 4, 5, 6, 7, 8], False)):
+            text, scans = _nul_scans(lambda: "".join(_edge_chunks(EDGE_ROWS, labels)))
+            assert text == _reference_edges(EDGE_ROWS, labels)
+            assert bool(scans) == padded
 
     def test_edge_labels_of_mixed_digit_counts(self, monkeypatch):
         labels = [7, 10**18, 0, 12345, 99, 2**63 - 1]

@@ -840,6 +840,17 @@ def test_a_plain_file_parses_in_bounded_memory(data, m):
     assert peak <= 8 * len(data)
 
 
+@pytest.mark.parametrize("content, message", [
+    ("1 2 " + "3" * 36, "expected 'u v', got '1 2 " + "3" * 36 + "'"),
+    ("1 2 " + "3" * 37, "expected 'u v', got '1 2 " + "3" * 36 + "'..."),
+    ("1 " + "y" * 39, "expected two integers, got '1 " + "y" * 38 + "'..."),
+], ids=["40-chars", "41-chars", "41-chars-not-integers"])
+def test_a_faulty_line_is_quoted_up_to_40_characters(content, message):
+    with pytest.raises(EdgeListFormatError) as info:
+        parse_edge_list(f"1 1\n{content}\n")
+    assert str(info.value) == f"line 2: {message}"
+
+
 def test_a_long_faulty_line_is_split_at_most_twice():
     # 600,000 numbers on one arc line: the scanner needs only the first
     # three fields to refuse it, so it makes no list of 600,000 tokens.
