@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -48,9 +47,9 @@ class DistanceMatrix:
     """Shortest directed-path lengths as one read-only square int array.
 
     ``array[i, j]`` is the distance from ``i`` to ``j``, or ``UNREACHABLE``
-    (-1) when there is no directed path. The matrix takes ownership of the
-    array it is given and makes it read-only; equal matrices compare and
-    hash equal.
+    (-1) when there is no directed path; ``all_finite`` is whether no pair
+    is. The matrix takes ownership of the array it is given and makes it
+    read-only; equal matrices compare and hash equal.
     """
 
     array: np.ndarray
@@ -62,11 +61,13 @@ class DistanceMatrix:
         if a.dtype.kind not in "iu":
             raise TypeError(f"distances must have an integer dtype, got {a.dtype}")
         # Checked before the cast to the kernel dtype, which would wrap.
-        if a.size and (a.min() < UNREACHABLE or a.max() >= a.shape[0]):
+        low = a.min(initial=0)
+        if low < UNREACHABLE or (a.size and a.max() >= a.shape[0]):
             raise ValueError("distances must lie in [0, n) or be UNREACHABLE")
         a = np.asarray(a, dtype=_kernel_dtype(a.shape[0]))
         a.flags.writeable = False
         object.__setattr__(self, "array", a)
+        object.__setattr__(self, "all_finite", bool(low != UNREACHABLE))
 
     @property
     def n(self) -> int:
@@ -88,16 +89,12 @@ class DistanceMatrix:
         e = int(self.array[i, j])
         return None if e == UNREACHABLE else e
 
-    @cached_property
-    def all_finite(self) -> bool:
-        return bool(self.array.min(initial=0) != UNREACHABLE)
-
     def finite_array(self) -> np.ndarray:
         """The read-only distance array, once every pair is known reachable.
 
         Raises :class:`NotStronglyConnectedError` naming the first unreachable
-        pair in row-major order. Like ``all_finite``, it makes no n x n
-        temporary: no mask, and no ``argmin``, which copies an int16 matrix.
+        pair in row-major order. It makes no n x n temporary: no mask, and
+        no ``argmin``, which copies an int16 matrix.
         """
         if not self.all_finite:
             i = int(np.argmax(self.array.min(axis=1) == UNREACHABLE))

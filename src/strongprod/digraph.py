@@ -66,7 +66,7 @@ class Digraph:
     increasing, in ``_key_dtype(n)``, and ``m`` is their count. Internal
     readers take ``_out_csr``, built from the keys. ``arc_array``, a
     read-only ``(m, 2)`` int64 array of ``(tail, head)`` rows sorted
-    lexicographically, is decoded on first read, for comparisons and repr.
+    lexicographically, is decoded on first read, only for repr and callers.
 
     The constructor takes an integer ``n`` and any iterable of integer
     pairs or an integer array, in any order, each pair at most once
@@ -74,8 +74,8 @@ class Digraph:
     value: at least one vertex, endpoints in ``[0, n)``, no self-loops, no
     repeats, found from the sorted keys. Of several faults the first pair
     in the order given is reported, and of one pair's own faults a
-    self-loop before a range error. Equal digraphs compare and hash equal;
-    no attribute can be assigned or deleted.
+    self-loop before a range error. Digraphs of one order and equal keys
+    compare and hash equal; no attribute can be assigned or deleted.
     """
 
     def __init__(self, n: int, arc_array) -> None:
@@ -143,11 +143,11 @@ class Digraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
-        return (self.n == other.n
-                and self.arc_array.tobytes() == other.arc_array.tobytes())
+        return self.n == other.n and np.array_equal(self._keys, other._keys)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.arc_array.tobytes()))
+        # Not the keys' bytes: object keys hold pointers.
+        return hash((self.n, self.m))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n!r}, arc_array={self.arc_array!r})"
@@ -496,8 +496,6 @@ def _edge_list_blocks(g: Digraph, comments: Sequence[str] = ()) -> Iterator[byte
         if "".join(comment.splitlines()) != comment:
             raise ValueError(f"comment {comment!r} holds a line break")
     head = "".join(f"# {comment}\n" for comment in comments) + f"{g.n} {g.m}\n"
-    if not g.m:
-        return iter((head.encode("utf-8", "surrogatepass"),))
 
     def arcs(start: int, out: np.ndarray) -> None:
         _key_rows(g._keys[start:start + len(out)], g.n, out)
@@ -530,11 +528,11 @@ def _render_rows(shape: tuple[int, int], fill: Callable[[int, np.ndarray], None]
     always with the same buffer, so the table need not exist whole. Entry
     x is the decimal ``labels[x]``, or ``extra`` where x is -1 (the last
     cell, where ``take`` wraps it), followed by ``sep``, or by ``row_end``
-    at the end of a row; ``head`` comes first and ``tail`` takes the last
-    row end's place. Where ``tail`` begins with ``row_end`` the last row
-    end stays and only the rest of ``tail`` follows, so that no block is
-    copied to trim it. Each label, and ``extra``, has a fixed-width cell
-    of ASCII bytes: the token right-aligned and NUL-padded, then ``sep``.
+    at the end of a row; ``head`` comes first, and ``tail`` follows the
+    rendered rows in place of the last row end, which is cut off in the
+    buffer; a table of no rows is ``head`` alone. Each label, and
+    ``extra``, has a fixed-width cell of ASCII bytes: the token
+    right-aligned and NUL-padded, then ``sep``.
     A row of a block is its cells, then as many spare bytes as ``row_end``
     is longer than ``sep``, which must not be shorter. A block is one
     ``take`` into the cells of a buffer of such rows, then one strided
@@ -558,22 +556,21 @@ def _render_rows(shape: tuple[int, int], fill: Callable[[int, np.ndarray], None]
     row_cells = buf[:, :cols * cells.itemsize].view(cells.dtype)
     ends = buf[:, row_bytes - len(row_end):]
     padded = not table.all()
-    keep_end = count > 0 and tail.startswith(row_end)
-    if keep_end:
-        tail = tail[len(row_end):]
     yield head.encode("utf-8", "surrogatepass")
     for r in range(0, count, step):
         rows = index[:min(step, count - r)]
         fill(r, rows)
         cells.take(rows, out=row_cells[:len(rows)], mode="wrap")
         ends[:len(rows)] = end
-        text = buf[:len(rows)].tobytes()
+        text = buf[:len(rows)].reshape(-1)
+        if r + step >= count:
+            text = text[:-len(row_end)]
+        text = text.tobytes()
         if padded:
             text = text.translate(None, b"\0")
-        if not keep_end and r + step >= count:
-            text = text[:len(text) - len(row_end)]
         yield text
-    yield tail.encode("utf-8", "surrogatepass")
+    if count:
+        yield tail.encode("utf-8", "surrogatepass")
 
 
 def _cell_table(labels: np.ndarray, extra: str | None, sep: str) -> np.ndarray:

@@ -165,22 +165,17 @@ def _per_factor(
     measures stand in for a traversal, and the lowest failing factor is
     named. If any factor has a vertex without an out-arc or an in-arc,
     the factors are traversed in order instead; that stops at the lowest
-    index that fails, the one named. A factor equal to an earlier one, by
-    order and arc keys, takes the earlier one's measure.
+    index that fails, the one named. Equal digraphs are measured once.
     """
     if any(map(_fails_degree_screen, gs)):
         _check_connected(gs)
-    measures: list[_T] = []
+    measures: dict[Digraph, _T] = {}
     for index, g in enumerate(gs):
-        for h, earlier in zip(gs, measures):
-            if h.n == g.n and np.array_equal(h._keys, g._keys):
-                measures.append(earlier)
-                break
-        else:
-            measures.append(measure(g))
-            if not connected(g, measures[-1]):
+        if g not in measures:
+            measures[g] = measure(g)
+            if not connected(g, measures[g]):
                 raise _not_connected(index)
-    return measures
+    return [measures[g] for g in gs]
 
 
 def average_distance_product_n(

@@ -86,6 +86,16 @@ class TestDistanceMatrixValue:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
+    @pytest.mark.parametrize("array, finite", [
+        (np.zeros((0, 0), dtype=np.int16), True),
+        (np.array([[0]]), True),
+        (np.array([[0, 1], [1, 0]]), True),
+        (np.array([[0, 1], [UNREACHABLE, 0]]), False),
+    ], ids=["0x0", "1x1", "finite", "unreachable"])
+    def test_all_finite_is_set_on_construction(self, array, finite):
+        # From the range check's minimum: no later scan of the array.
+        assert vars(DistanceMatrix(array))["all_finite"] is finite
+
     def test_different_matrices_differ(self):
         assert all_pairs_distances(directed_cycle(4)) != all_pairs_distances(directed_path(4))
         assert all_pairs_distances(directed_cycle(3)) != all_pairs_distances(directed_cycle(4))

@@ -375,6 +375,19 @@ class TestDigraphValue:
             delattr(g, name)
         assert (g.n, g.arc_array.tolist()) == before
 
+    @pytest.mark.parametrize("n", [5, _MAX_KEYED_ORDER + 1], ids=["int32-keys", "object-keys"])
+    def test_equality_and_hash_read_the_keys(self, n):
+        # Past _MAX_KEYED_ORDER the keys are Python ints, whose bytes in an
+        # object array are pointers: equal digraphs still hash equal.
+        arcs = [(0, 1), (1, n - 1), (n - 1, 0)]
+        g, h = Digraph(n, arcs), Digraph(n, arcs[::-1])
+        moved = Digraph(n, [(0, 2), *arcs[1:]])
+        assert g._keys.dtype == (np.int32 if n == 5 else object)
+        assert g == h and hash(g) == hash(h)
+        assert g != moved and len({g, h, moved}) == 2
+        for d in (g, h, moved):
+            assert "arc_array" not in vars(d)
+
     def test_out_csr_copies_no_keys(self):
         # K300 has 89,700 int32 keys; an int64 copy of them takes 717,600 bytes.
         g = complete_digraph(300)
@@ -515,7 +528,9 @@ def test_writer_format_is_exact():
     assert write_edge_list(directed_cycle(3)) == "3 3\n0 1\n1 2\n2 0\n"
     text = write_edge_list(complete_digraph(2), comments=("c",))
     assert text == "# c\n2 2\n0 1\n1 0\n"
-    assert write_edge_list(Digraph(4, [])) == "4 0\n"
+    # No arc lines: the head alone, also with object keys.
+    for n in (3, 10**20):
+        assert write_edge_list(Digraph(n, [])) == f"{n} 0\n"
     # Few labels in a large range: the table holds only the labels in use.
     sparse = Digraph(10**6, [(5, 999_999), (999_999, 5), (12, 100_000)])
     assert write_edge_list(sparse) == "1000000 3\n5 999999\n12 100000\n999999 5\n"
@@ -636,11 +651,13 @@ def _no_rows(g):
     *(lambda g, method=method: average_distance_product_n([g, g], method)
       for method in METHODS),
     lambda g: b"".join(_edge_list_blocks(g)),
-], ids=["connected", "apsp", "product", *METHODS, "edge-list"])
+    lambda g: {g, _reverse(_reverse(g))},
+], ids=["connected", "apsp", "product", *METHODS, "edge-list", "compare"])
 def test_no_internal_path_builds_rows(make, call, monkeypatch):
-    # Every internal reader takes the out-adjacency built from the keys; only
-    # comparisons and repr read the arc rows. While the rows cannot be read,
-    # nor can a digraph made inside the call (a product, a reverse) read them.
+    # Every internal reader takes the out-adjacency built from the keys, and
+    # comparisons take the keys; only repr reads the arc rows. While the rows
+    # cannot be read, nor can a digraph made inside the call (a product, a
+    # reverse) read them.
     g = make()
     monkeypatch.setattr(Digraph, "arc_array", property(_no_rows))
     call(g)
